@@ -36,9 +36,6 @@ class AnalyticSolution:
     modes: ModeDecomposition
     amplitudes: np.ndarray
 
-    def chain_vectors(self) -> list[np.ndarray]:
-        return [v for mode in self.modes.modes for v in mode.vectors]
-
 
 def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
     """Fit the analytic solution to an initial density matrix.

@@ -11,26 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError
-from .numerics import COINCIDENCE_RTOL, schur2
+from .numerics import eigvec_unitary, finite_matrix, schur2, unit_scaled
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 HERMITICITY_ATOL = 1e-14
 NORMALITY_RTOL = 1e-10
-
-
-def _finite_matrix(m, shape=(2, 2)) -> np.ndarray:
-    arr = np.array(m, dtype=complex)
-    if arr.shape != shape:
-        raise InputError(f"expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise InputError("non-finite matrix entries")
-    return arr
+# Non-normal l is a Jordan block when its eigenvalue discriminant
+# (l00 - l11)^2 + 4 l01 l10 is below JORDAN_RTOL * ||l - (tr l / 2) I||^2.
+JORDAN_RTOL = 1e-10
 
 
 def _finite_complex(z, name: str) -> complex:
@@ -52,7 +47,7 @@ class Hamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _finite_matrix(self.matrix)
+        m = finite_matrix(self.matrix)
         scale = max(1.0, float(np.linalg.norm(m)))
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL * scale:
             raise InputError("Hamiltonian is not Hermitian")
@@ -62,11 +57,6 @@ class Hamiltonian:
     def gap(self) -> float:
         """Level splitting eps_11 - eps_22."""
         return float(self.matrix[0, 0].real - self.matrix[1, 1].real)
-
-    @property
-    def is_diagonal(self) -> bool:
-        scale = max(1.0, float(np.linalg.norm(self.matrix)))
-        return abs(self.matrix[0, 1]) <= 1e-12 * scale
 
     @classmethod
     def diagonal(cls, e1: float, e2: float) -> "Hamiltonian":
@@ -124,7 +114,7 @@ class GeneralL:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(_finite_matrix(self.matrix)))
+        object.__setattr__(self, "matrix", _frozen(finite_matrix(self.matrix)))
         object.__setattr__(self, "c", _check_coupling(self.c))
 
     def small_l(self) -> np.ndarray:
@@ -150,6 +140,14 @@ class SystemSpec:
     def c(self) -> float:
         return self.lindblad.c
 
+    @cached_property
+    def reduction(self) -> Canonical | NonCanonical | None:
+        """``canonicalize`` of a GeneralL form, computed once per spec; None
+        for the diagonal and Jordan shapes, which are canonical already."""
+        if not isinstance(self.lindblad, GeneralL):
+            return None
+        return canonicalize(self.lindblad.matrix, self.lindblad.c, self.hamiltonian)
+
 
 @dataclass(frozen=True, eq=False)
 class Canonical:
@@ -163,7 +161,7 @@ class Canonical:
     hamiltonian: Hamiltonian
     basis: np.ndarray
 
-    @property
+    @cached_property
     def system(self) -> SystemSpec:
         return SystemSpec(self.hamiltonian, self.lindblad)
 
@@ -174,10 +172,6 @@ class NonCanonical:
     downstream code takes the general numeric path."""
 
     lindblad: GeneralL
-
-    @property
-    def form(self) -> GeneralL:
-        return self.lindblad
 
 
 def to_frame(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -193,36 +187,40 @@ def from_frame(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def canonicalize(l_raw, c: float, hamiltonian: Hamiltonian) -> Canonical | NonCanonical:
     """Reduce a raw Lindblad matrix to diagonal or Jordan shape if possible.
 
-    Normal l is unitarily diagonalized.  Non-normal l with (numerically)
-    equal eigenvalues is brought to Schur form; the off-diagonal phase is
-    absorbed into a diagonal unitary and its magnitude |t| into the coupling
-    (c' = c |t|, lambda' = lambda / |t|).  Non-normal l with distinct
-    eigenvalues cannot be reduced by a unitary and comes back NonCanonical.
+    Normal l is unitarily diagonalized.  Non-normal l with a vanishing
+    eigenvalue discriminant is brought to Schur form around its double
+    eigenvalue tr(l) / 2; the off-diagonal phase is absorbed into a diagonal
+    unitary and its magnitude |t| into the coupling (c' = c |t|,
+    lambda' = lambda / |t|).  Non-normal l with distinct eigenvalues cannot
+    be reduced by a unitary and comes back NonCanonical.
     """
-    l_raw = _finite_matrix(l_raw)
+    l_raw = finite_matrix(l_raw)
     c = _check_coupling(c)
-    lsq = float(np.linalg.norm(l_raw)) ** 2
-    defect = float(
-        np.linalg.norm(l_raw @ l_raw.conj().T - l_raw.conj().T @ l_raw)
-    )
-    if lsq == 0.0 or defect < NORMALITY_RTOL * lsq:
+    # Decide on n = l / max|l|, where no square under- or overflows.  n is
+    # normal iff [n, n^dag] = 0.  With n - (tr n / 2) I = [[x, b], [g, -x]],
+    # its eigenvalues coincide iff their discriminant 4 (x^2 + b g) is 0.
+    _, n = unit_scaled(l_raw)
+    n_dag = n.conj().T
+    if np.linalg.norm(n @ n_dag - n_dag @ n) <= NORMALITY_RTOL * np.linalg.norm(n) ** 2:
         u, t = schur2(l_raw)
         # Schur of a (near-)normal matrix is diagonal; drop the residual.
         lam1, lam2 = complex(t[0, 0]), complex(t[1, 1])
         h_new = Hamiltonian(u.conj().T @ hamiltonian.matrix @ u)
         return Canonical(DiagonalL(lam1, lam2, c), h_new, u)
 
-    u0, t = schur2(l_raw)
-    mu1, mu2 = complex(t[0, 0]), complex(t[1, 1])
-    if abs(mu1 - mu2) < COINCIDENCE_RTOL * max(1.0, abs(mu1), abs(mu2)):
-        off = complex(t[0, 1])
+    (a, b), (g, d) = n.tolist()
+    x = (a - d) / 2.0
+    if abs(4.0 * (x * x + b * g)) < JORDAN_RTOL * (2.0 * abs(x) ** 2 + abs(b) ** 2 + abs(g) ** 2):
+        # The eigenvector at the exact mean tr(l) / 2 leaves a residual of
+        # order disc, where the split computed eigenvalues would leave one
+        # of order sqrt(disc).
+        u0 = eigvec_unitary(n, (a + d) / 2.0)
+        off = complex((u0.conj().T @ l_raw @ u0)[0, 1])
         # Non-normal with equal eigenvalues forces a nonzero Schur coupling.
-        phase = off / abs(off)
-        u = u0 @ np.diag([1.0, 1.0 / phase]).astype(complex)
-        lam = (mu1 + mu2) / 2.0
-        scale = abs(off)
+        u = u0 @ np.diag([1.0, abs(off) / off])
+        lam = complex(l_raw[0, 0] + l_raw[1, 1]) / 2.0
         h_new = Hamiltonian(u.conj().T @ hamiltonian.matrix @ u)
-        return Canonical(JordanL(lam / scale, c * scale), h_new, u)
+        return Canonical(JordanL(lam / abs(off), c * abs(off)), h_new, u)
 
     return NonCanonical(GeneralL(l_raw, c))
 
@@ -253,9 +251,14 @@ def det2(rho: np.ndarray) -> float:
 
 
 def min_eig2(rho: np.ndarray) -> float:
-    """Smaller eigenvalue of a Hermitian 2x2 matrix: (tr - sqrt(tr^2 - 4 det))/2."""
+    """Smaller eigenvalue of a Hermitian 2x2 matrix: (tr - sqrt(disc)) / 2.
+
+    disc = (f11 - f22)^2 + 4 Re(f12 f21) equals tr^2 - 4 det without the
+    cancellation that costs half the precision near I/2.
+    """
     tr = float((rho[0, 0] + rho[1, 1]).real)
-    disc = tr * tr - 4.0 * det2(rho)
+    diff = float((rho[0, 0] - rho[1, 1]).real)
+    disc = diff * diff + 4.0 * float((rho[0, 1] * rho[1, 0]).real)
     return (tr - math.sqrt(max(disc, 0.0))) / 2.0
 
 
@@ -265,7 +268,7 @@ def validate_density(rho, tol: float = 1e-9) -> DensityReport:
     Positivity is reported, never enforced: min_eigenvalue < 0 flags an
     unphysical matrix without raising.
     """
-    rho = _finite_matrix(rho)
+    rho = finite_matrix(rho)
     scale = max(1.0, float(np.linalg.norm(rho)))
     herm = float(np.max(np.abs(rho - rho.conj().T))) <= tol * scale
     sym = (rho + rho.conj().T) / 2.0
@@ -278,7 +281,7 @@ def validate_density(rho, tol: float = 1e-9) -> DensityReport:
 
 def as_density(rho, tol: float = 1e-9) -> np.ndarray:
     """Validate and symmetrize a density matrix (Hermitian, unit trace)."""
-    rho = _finite_matrix(rho)
+    rho = finite_matrix(rho)
     report = validate_density(rho, tol)
     if not report.hermitian:
         raise InputError("density matrix is not Hermitian")
@@ -301,3 +304,29 @@ def from_coords(x: np.ndarray) -> np.ndarray:
 def direction_matrix(x: np.ndarray) -> np.ndarray:
     """Traceless matrix from homogeneous coordinates, f22 = -f11."""
     return np.array([[x[0], x[1]], [x[2], -x[0]]], dtype=complex)
+
+
+def dagger_coords(x: np.ndarray) -> np.ndarray:
+    """Coordinates of the adjoint: (f11, f12, f21) -> (conj f11, conj f21,
+    conj f12).  Its fixed points are the Hermitian matrices."""
+    return np.array([np.conj(x[0]), np.conj(x[2]), np.conj(x[1])], dtype=complex)
+
+
+def hermitian_span(mats) -> list[np.ndarray]:
+    """Real basis of the Hermitian matrices in the span of 2x2 matrices,
+    for a span closed under the adjoint.
+
+    Symmetrizing the spanning matrices one by one can give dependent
+    results, so the Hermitian slice is extracted as a real subspace.
+    """
+    rows = []
+    for m in mats:
+        for w in (0.5 * (m + m.conj().T), 0.5j * (m - m.conj().T)):
+            rows.append([w[0, 0].real, w[0, 1].real, w[0, 1].imag, w[1, 1].real])
+    if not rows:
+        return []
+    _, s, vh = np.linalg.svd(np.array(rows))
+    rank = int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))
+    return [
+        np.array([[a, x + 1j * y], [x - 1j * y, d]], dtype=complex) for a, x, y, d in vh[:rank]
+    ]

@@ -44,6 +44,27 @@ class CubicRoots:
         return out
 
 
+def finite_matrix(m, shape=(2, 2)) -> np.ndarray:
+    """Complex copy of m, checked for its shape and for finite entries."""
+    arr = np.array(m, dtype=complex)
+    if arr.shape != shape:
+        raise InputError(f"expected shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr.view(float))):
+        raise InputError("non-finite matrix entries")
+    return arr
+
+
+def unit_scaled(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """(s, m / s) with s the power of two that puts max|m / s| in [1, 2), or
+    s = 1 for a zero matrix.  The division is exact, so results computed on
+    m / s and scaled back equal those computed on m wherever the latter do
+    not under- or overflow.  Real and imaginary parts are divided as reals,
+    because complex division by a subnormal s overflows."""
+    top = float(np.max(np.abs(m)))
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0.0 else 1.0
+    return scale, (m.view(float) / scale).view(complex)
+
+
 def _require_finite(*values: complex) -> None:
     for v in values:
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
@@ -99,8 +120,9 @@ def _real_cubic(b: float, c: float, d: float) -> list[complex]:
     q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
     if p == 0.0 and q == 0.0:
         return [complex(-shift)] * 3
-    if p == 0.0:
-        # Pure cube roots of -q (the discriminant may underflow here).
+    if p / 3.0 == 0.0:
+        # p is zero or so small that p / 3 underflows: pure cube roots of -q
+        # (the discriminant may underflow here).
         y1 = _real_cbrt(-q)
         re, im = -y1 / 2.0, math.sqrt(3.0) / 2.0 * abs(y1)
         return [complex(y1) - shift, complex(re, im) - shift, complex(re, -im) - shift]
@@ -169,7 +191,7 @@ def cubic_roots(p2: complex, p1: complex, p0: complex) -> CubicRoots:
     _require_finite(p2, p1, p0)
 
     coeff_scale = max(1.0, abs(p2), abs(p1), abs(p0))
-    is_real = max(abs(p2.imag), abs(p1.imag), abs(p0.imag)) <= 1e-10 * coeff_scale
+    is_real = max(abs(p2.imag), abs(p1.imag), abs(p0.imag)) < 1e-10 * coeff_scale
     if is_real:
         raw = _real_cubic(p2.real, p1.real, p0.real)
         rp2, rp1, rp0 = p2.real, p1.real, p0.real
@@ -229,37 +251,20 @@ def cubic_roots(p2: complex, p1: complex, p0: complex) -> CubicRoots:
                     cand_third = complex(cand_third.real)
                 roots = cand_pair + [cand_third]
 
-    # Cluster coincident roots (transitive closure, so near-triple cases merge).
-    groups: list[list[complex]] = []
-    for r in roots:
-        placed = False
-        for g in groups:
-            if any(
-                abs(r - other) < COINCIDENCE_RTOL * max(1.0, abs(r), abs(other))
-                for other in g
-            ):
-                g.append(r)
-                placed = True
-                break
-        if not placed:
-            groups.append([r])
-    # A chain a~b, b~c with a!~c can leave separate groups; re-merge pairwise.
-    merged = True
-    while merged and len(groups) > 1:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if any(
-                    abs(x - y) < COINCIDENCE_RTOL * max(1.0, abs(x), abs(y))
-                    for x in groups[i]
-                    for y in groups[j]
-                ):
-                    groups[i].extend(groups[j])
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
-                break
+    # Cluster coincident roots: the union over the three pairs.  Two close
+    # pairs share a root, so they join all three (near-triple cases merge).
+    close = [
+        (a, b)
+        for a, b in pairs
+        if abs(roots[a] - roots[b]) < COINCIDENCE_RTOL * max(1.0, abs(roots[a]), abs(roots[b]))
+    ]
+    if len(close) >= 2:
+        groups = [roots]
+    elif close:
+        (a, b), = close
+        groups = [[roots[a], roots[b]], [roots[3 - a - b]]]
+    else:
+        groups = [[r] for r in roots]
 
     entries = []
     for g in groups:
@@ -298,15 +303,6 @@ class Inconsistent:
 Solve3Result = UniqueSolution | SolutionFamily | Inconsistent
 
 
-def _as_matrix(m, shape) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.shape != shape:
-        raise InputError(f"expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise InputError("non-finite entries")
-    return arr
-
-
 def det3(m: np.ndarray) -> complex:
     """Explicit 3x3 determinant."""
     return (
@@ -325,34 +321,45 @@ def solve3(m, b) -> Solve3Result:
     ``Inconsistent`` when the right-hand side has a component outside the
     range of M.
     """
-    m = _as_matrix(m, (3, 3))
-    b = _as_matrix(b, (3,))
-    norm = float(np.linalg.norm(m))
-    if norm > 0.0 and abs(det3(m)) > RANK_RTOL * norm**3:
-        return UniqueSolution(np.linalg.solve(m, b))
-
-    u, sing, vh = np.linalg.svd(m)
-    tol = RANK_RTOL * max(1.0, float(sing[0]) if sing.size else 0.0)
-    rank = int(np.sum(sing > tol))
-    coeffs = u.conj().T @ b
-    x = np.zeros(3, dtype=complex)
-    for i in range(rank):
-        x += (coeffs[i] / sing[i]) * vh[i].conj()
+    m = finite_matrix(m, (3, 3))
+    b = finite_matrix(b, (3,))
+    # Solve on M / s (see unit_scaled): the rank thresholds are relative, so
+    # every returned null vector v has |M v| <= RANK_RTOL ||M|| |v| at any
+    # scale, and no square or division by a tiny singular value overflows.
+    scale, unit = unit_scaled(m)
+    unit_norm = float(np.linalg.norm(unit))
+    nullvecs = None
+    if abs(det3(unit)) > RANK_RTOL * unit_norm**3:
+        x = np.linalg.solve(unit, b)
+    else:
+        u, sing, vh = np.linalg.svd(unit)
+        rank = int(np.sum(sing > RANK_RTOL * float(sing[0])))
+        x = vh[:rank].conj().T @ ((u.conj().T @ b)[:rank] / sing[:rank])
+        nullvecs = tuple(vh[i].conj() for i in range(rank, 3))
+    x = (x.view(float) / scale).view(complex)
+    norm = scale * unit_norm
     residual = float(np.linalg.norm(m @ x - b))
-    if residual > 1e-10 * (norm * float(np.linalg.norm(x)) + float(np.linalg.norm(b))) + 1e-14 * (
-        norm + 1.0
-    ):
+    bound = 1e-10 * (norm * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
+    # A non-finite x (the solution is not representable) fails this too.
+    if not residual <= bound + 1e-14 * (norm + 1.0):
         return Inconsistent()
-    nullvecs = tuple(vh[i].conj() for i in range(rank, 3))
+    # The SVD branch can find full rank when |det| alone looked singular.
+    if not nullvecs:
+        return UniqueSolution(x)
     return SolutionFamily(particular=x, nullspace=nullvecs)
 
 
-def nullspace(m: np.ndarray, rtol: float = 1e-8) -> list[np.ndarray]:
-    """Orthonormal nullspace basis of a square matrix, singular values below
-    rtol * max(1, sigma_max) counting as zero."""
-    _, sing, vh = np.linalg.svd(np.asarray(m, dtype=complex))
-    tol = rtol * max(1.0, float(sing[0]) if sing.size else 0.0)
-    return [vh[i].conj() for i in range(len(sing)) if sing[i] <= tol]
+def eigvec_unitary(m: np.ndarray, mu: complex) -> np.ndarray:
+    """Unitary whose first column is an eigenvector of the 2x2 matrix m for
+    its eigenvalue mu, taken from the larger row of m - mu I."""
+    (m00, m01), (m10, m11) = m.tolist()
+    cand1 = (m01, mu - m00)
+    cand2 = (mu - m11, m10)
+    p, q = cand1 if max(map(abs, cand1)) >= max(map(abs, cand2)) else cand2
+    # hypot scales internally: no square underflows for entries near 1e-160.
+    r = math.hypot(abs(p), abs(q))
+    p, q = p / r, q / r
+    return np.array([[p, -q.conjugate()], [q, p.conjugate()]])
 
 
 def schur2(m) -> tuple[np.ndarray, np.ndarray]:
@@ -362,23 +369,18 @@ def schur2(m) -> tuple[np.ndarray, np.ndarray]:
     lower-left entry of T exactly zero.  Upper-triangular input returns
     (identity, input) unchanged.
     """
-    m = _as_matrix(m, (2, 2))
+    m = finite_matrix(m)
     if m[1, 0] == 0:
-        return np.eye(2, dtype=complex), m.copy()
-    tr = m[0, 0] + m[1, 1]
-    # (m00 - m11)^2 + 4 m01 m10 equals tr^2 - 4 det without the cancellation.
-    disc = cmath.sqrt((m[0, 0] - m[1, 1]) ** 2 + 4.0 * m[0, 1] * m[1, 0])
-    mu1 = (tr + disc) / 2.0
-    mu2 = (tr - disc) / 2.0
-    if abs(mu1) < abs(mu2):
-        mu1, mu2 = mu2, mu1
-    # Eigenvector of the leading eigenvalue from the better-conditioned row.
-    cand1 = np.array([m[0, 1], mu1 - m[0, 0]], dtype=complex)
-    cand2 = np.array([mu1 - m[1, 1], m[1, 0]], dtype=complex)
-    v = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
-    v = v / np.linalg.norm(v)
-    w = np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
-    u = np.column_stack([v, w])
+        return np.eye(2, dtype=complex), m
+    # Work on n = m / max|m| so that the discriminant neither underflows nor
+    # overflows at extreme scales.
+    _, n = unit_scaled(m)
+    (a, b), (g, d) = n.tolist()
+    # (a - d)^2 + 4 b g equals tr^2 - 4 det without the cancellation.
+    disc = cmath.sqrt((a - d) ** 2 + 4.0 * b * g)
+    # The eigenvector of the larger eigenvalue is the better conditioned.
+    mu = max((a + d + disc) / 2.0, (a + d - disc) / 2.0, key=abs)
+    u = eigvec_unitary(n, mu)
     t = u.conj().T @ m @ u
     t[1, 0] = 0.0
     return u, t

@@ -5,7 +5,9 @@ line, or a higher-dimensional family depending on the Lindblad shape:
 
 * diagonal L splits four ways on eps_21 and lambda1 - lambda2,
 * Jordan L always has a single closed-form pointer (c > 0),
-* general L goes through the numeric 3x3 solve with nullspace extraction.
+* general L is solved in its canonical frame and mapped back when
+  ``canonicalize`` reduces it; otherwise it goes through the numeric 3x3
+  solve with nullspace extraction.
 
 c = 0 means closed Liouville dynamics: stationary states exist but nothing
 is attracting, reported as ``NoAttractor``.
@@ -13,19 +15,23 @@ is attracting, reported as ``NoAttractor``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics
 from .generator import build_generator, rhs
 from .model import (
+    Canonical,
     DiagonalL,
     JordanL,
     SystemSpec,
+    dagger_coords,
     det2,
     direction_matrix,
     from_coords,
+    from_frame,
+    hermitian_span,
 )
 from .numerics import COINCIDENCE_RTOL
 
@@ -128,44 +134,17 @@ def _is_negligible(value: complex, *scales: float) -> bool:
     return abs(value) < COINCIDENCE_RTOL * max(1.0, *scales)
 
 
-def _conj_mirror(x: np.ndarray) -> np.ndarray:
-    """Antilinear symmetry of the coordinate system: (f11, f12, f21) ->
-    (conj f11, conj f21, conj f12); fixed points are Hermitian matrices."""
-    return np.array([np.conj(x[0]), np.conj(x[2]), np.conj(x[1])], dtype=complex)
-
-
-def _hermitian_directions(nullvecs: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """Real basis of the Hermitian slice of a conjugation-closed nullspace."""
-    reals = []
-    for v in nullvecs:
-        for w in (0.5 * (v + _conj_mirror(v)), 0.5j * (v - _conj_mirror(v))):
-            reals.append([w[0].real, w[1].real, w[1].imag])
-    if not reals:
-        return []
-    arr = np.array(reals, dtype=float)
-    u, s, vh = np.linalg.svd(arr)
-    tol = 1e-10 * max(1.0, float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    out = []
-    for i in range(rank):
-        a, x, y = vh[i]
-        vec = np.array([a, x + 1j * y, x - 1j * y], dtype=complex)
-        out.append(direction_matrix(vec))
-    return out
-
-
 def _general_pointer(spec: SystemSpec) -> PointerResult:
     gen = build_generator(spec)
     result = numerics.solve3(gen.matrix, -gen.inhom)
     if isinstance(result, numerics.UniqueSolution):
-        x = result.x
-        x = 0.5 * (x + _conj_mirror(x))
+        x = 0.5 * (result.x + dagger_coords(result.x))
         return UniquePointer(from_coords(x), label="general numeric")
     if isinstance(result, numerics.Inconsistent):
         return NoAttractor("stationary system numerically inconsistent")
-    x = 0.5 * (result.particular + _conj_mirror(result.particular))
+    x = 0.5 * (result.particular + dagger_coords(result.particular))
     base = from_coords(x)
-    dirs = _hermitian_directions(result.nullspace)
+    dirs = hermitian_span([direction_matrix(v) for v in result.nullspace])
     if len(dirs) == 0:
         return UniquePointer(base, label="general numeric")
     if len(dirs) == 1:
@@ -173,17 +152,46 @@ def _general_pointer(spec: SystemSpec) -> PointerResult:
     return FullFamily(base=base, directions=tuple(dirs))
 
 
+def _from_frame_pointer(result: PointerResult, basis: np.ndarray) -> PointerResult:
+    """Map a canonical-frame result back to the caller's frame.  The diagonal
+    family is diagonal only in the canonical frame; elsewhere it is a line.
+    Mapped matrices are symmetrized, so they stay Hermitian past rounding."""
+
+    def back(m: np.ndarray) -> np.ndarray:
+        r = from_frame(m, basis)
+        return 0.5 * (r + r.conj().T)
+
+    if isinstance(result, UniquePointer):
+        return replace(result, rho=back(result.rho))
+    if isinstance(result, DiagonalFamily):
+        return LineFamily(base=back(result.base), direction=back(result.directions[0]))
+    if isinstance(result, LineFamily):
+        return replace(result, base=back(result.base), direction=back(result.direction))
+    if isinstance(result, FullFamily):
+        return replace(
+            result,
+            base=back(result.base),
+            directions=tuple(back(d) for d in result.directions),
+        )
+    return result
+
+
 def compute_pointer(spec: SystemSpec) -> PointerResult:
     """Stationary-state classification for a system specification.
 
     Diagonal form follows the four-way case split on eps_21 and
     lambda1 - lambda2; Jordan form evaluates the closed-form pointer;
-    general form solves the 3x3 stationary system numerically.
+    general form is solved in its canonical frame when it has one, and
+    through the 3x3 stationary system numerically otherwise.
     """
     h = spec.hamiltonian.matrix
     c = spec.c
     if c == 0.0:
         return NoAttractor("closed system (c = 0): Liouville evolution has no attractor")
+
+    reduction = spec.reduction
+    if isinstance(reduction, Canonical):
+        return _from_frame_pointer(compute_pointer(reduction.system), reduction.basis)
 
     form = spec.lindblad
     hscale = float(np.linalg.norm(h))
@@ -205,16 +213,13 @@ def compute_pointer(spec: SystemSpec) -> PointerResult:
             if _is_negligible(bval, hscale / c2, abs(lam1) ** 2, abs(lam2) ** 2):
                 return FullFamily.whole_state_space()
             return DiagonalFamily()
-        # lambda1 == lambda2 with eps21 != 0: one-parameter family unless the
-        # levels are degenerate, which needs the general nullspace route.
-        gap = spec.hamiltonian.gap
-        if not _is_negligible(gap, hscale):
-            direction = np.array(
-                [[1.0, 2.0 * h[0, 1] / gap], [2.0 * h[1, 0] / gap, -1.0]],
-                dtype=complex,
-            )
-            return LineFamily(base=_IDENTITY_HALF.copy(), direction=direction)
-        return _general_pointer(spec)
+        # lambda1 == lambda2 with eps21 != 0: L is scalar, the dissipator
+        # vanishes, and the states commuting with H form a line along the
+        # traceless part of H.
+        direction = h - 0.5 * np.trace(h) * np.eye(2)
+        return LineFamily(
+            base=_IDENTITY_HALF.copy(), direction=direction / np.linalg.norm(direction)
+        )
 
     if isinstance(form, JordanL):
         c2 = c * c

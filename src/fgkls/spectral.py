@@ -7,7 +7,9 @@ coefficients for the two canonical Lindblad shapes are used where
 available, and the measure-zero coinciding-root branches (which turn
 exponentials into exponentials times polynomials) are recognized from
 closed-form conditions in parameter space, where detection is
-well-conditioned even though the roots themselves are not.
+well-conditioned even though the roots themselves are not.  A general
+form that ``canonicalize`` reduces is solved in its canonical frame and
+mapped back.
 """
 
 from __future__ import annotations
@@ -20,8 +22,18 @@ import numpy as np
 
 from .errors import InternalError
 from .generator import build_generator
-from .model import DiagonalL, JordanL, SystemSpec, direction_matrix
-from .numerics import cubic_roots
+from .model import (
+    Canonical,
+    DiagonalL,
+    JordanL,
+    SystemSpec,
+    coords,
+    dagger_coords,
+    direction_matrix,
+    from_frame,
+    hermitian_span,
+)
+from .numerics import cubic_roots, det3
 
 # Branch conditions are exact equalities; they are accepted when satisfied
 # to this absolute defect on O(1)-normalized data.
@@ -98,10 +110,18 @@ def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
 
     Coefficients are in the rescaled variable s = rate / c^2 when c > 0 and
     in the bare rate when c = 0.  The two canonical shapes use their
-    closed-form coefficients; the general shape extracts the characteristic
-    polynomial of the rescaled matrix directly.
+    closed-form coefficients, also for a general form that ``canonicalize``
+    reduces; any other general form extracts the characteristic polynomial
+    of the rescaled matrix directly.
     """
     c = spec.c
+    reduction = spec.reduction
+    if isinstance(reduction, Canonical):
+        # The rates are frame-invariant, but the Jordan reduction rescales
+        # the coupling to c', so s' = rate / c'^2 = s / k with k = (c' / c)^2.
+        k = (reduction.lindblad.c / c) ** 2 if c > 0 else 1.0
+        p2, p1, p0 = char_cubic(reduction.system)
+        return (p2 * k, p1 * k * k, p0 * k**3)
     if c > 0 and isinstance(spec.lindblad, DiagonalL):
         h = spec.hamiltonian.matrix
         c2 = c * c
@@ -132,11 +152,7 @@ def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
         + m[1, 1] * m[2, 2]
         - m[1, 2] * m[2, 1]
     )
-    p0 = -(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+    p0 = -det3(m)
     # The conjugation symmetry of the generator makes these real up to dust.
     return (complex(p2), complex(p1), complex(p0))
 
@@ -212,7 +228,7 @@ def _closed_form_roots(spec: SystemSpec) -> list[tuple[complex, int]] | None:
 
 def _symmetrize_real(v: np.ndarray) -> np.ndarray:
     """Project a vector onto the Hermitian slice (f11 real, f21 = conj f12)."""
-    mirror = np.array([np.conj(v[0]), np.conj(v[2]), np.conj(v[1])], dtype=complex)
+    mirror = dagger_coords(v)
     w = 0.5 * (v + mirror)
     if np.linalg.norm(w) < 0.5 * np.linalg.norm(v):
         w = 0.5j * (v - mirror)
@@ -227,31 +243,6 @@ def _symmetrize_real(v: np.ndarray) -> np.ndarray:
                 w = -w
             break
     return w
-
-
-def _mirror_vec(v: np.ndarray) -> np.ndarray:
-    return np.array([np.conj(v[0]), np.conj(v[2]), np.conj(v[1])], dtype=complex)
-
-
-def _hermitian_null_basis(vectors: list[np.ndarray], count: int) -> list[np.ndarray]:
-    """Basis of the Hermitian slice of a conjugation-closed span.
-
-    Symmetrizing SVD nullspace vectors one by one can produce dependent
-    results, so the slice is re-extracted as a real subspace.
-    """
-    reals = []
-    for v in vectors:
-        for w in (0.5 * (v + _mirror_vec(v)), 0.5j * (v - _mirror_vec(v))):
-            reals.append([w[0].real, w[1].real, w[1].imag])
-    arr = np.array(reals, dtype=float)
-    _, s, vh = np.linalg.svd(arr)
-    if int(np.sum(s > 1e-10 * max(1.0, float(s[0])))) < count:
-        raise InternalError("Hermitian slice of the eigenspace is too small")
-    out = []
-    for i in range(count):
-        a, x, y = vh[i]
-        out.append(np.array([a, x + 1j * y, x - 1j * y], dtype=complex))
-    return out
 
 
 def _chain_solve(b: np.ndarray, target: np.ndarray, mscale: float) -> np.ndarray:
@@ -295,6 +286,18 @@ def _modes_for_root(
 
 def spectrum(spec: SystemSpec) -> ModeDecomposition:
     """Roots, Jordan chains and structure of the homogeneous generator."""
+    reduction = spec.reduction
+    if isinstance(reduction, Canonical):
+        # Chain vectors map as the traceless matrices they stand for, so
+        # they stay Jordan chains of the caller's generator.
+        md = spectrum(reduction.system)
+        u = reduction.basis
+        modes = tuple(
+            Mode(m.rate, tuple(coords(from_frame(direction_matrix(v), u)) for v in m.vectors))
+            for m in md.modes
+        )
+        return ModeDecomposition(modes, md.structure, char_cubic(spec), md.scaled)
+
     gen = build_generator(spec)
     m = gen.matrix
     mscale = float(np.linalg.norm(m))
@@ -324,16 +327,18 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
             if all(len(chain) == 1 for _, chain in chains) and len(chains) > 1:
                 # Diagonalizable multiple root: re-extract the Hermitian slice
                 # jointly so the simple modes stay independent.
-                basis = _hermitian_null_basis([c[0] for _, c in chains], len(chains))
-                for v in basis:
-                    raw_modes.append((rate, [v]))
+                basis = hermitian_span([direction_matrix(c[0]) for _, c in chains])
+                if len(basis) < len(chains):
+                    raise InternalError("Hermitian slice of the eigenspace is too small")
+                for herm in basis[: len(chains)]:
+                    raw_modes.append((rate, [coords(herm)]))
                 continue
             for r, chain in chains:
                 fixed = [_symmetrize_real(chain[0])]
                 for _ in chain[1:]:
                     b = m - rate * np.eye(3, dtype=complex)
                     nxt = _chain_solve(b, fixed[-1], mscale)
-                    nxt = 0.5 * (nxt + _mirror_vec(nxt))
+                    nxt = 0.5 * (nxt + dagger_coords(nxt))
                     fixed.append(nxt)
                 raw_modes.append((rate, fixed))
         else:
@@ -354,7 +359,7 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
             (_, chain), = _modes_for_root(m, rate, 1, mscale)
             v = chain[0]
             raw_modes.append((rate, [v]))
-            raw_modes.append((np.conj(rate), [_mirror_vec(v)]))
+            raw_modes.append((np.conj(rate), [dagger_coords(v)]))
 
     modes = tuple(
         Mode(rate=r, vectors=tuple(np.asarray(v, dtype=complex) for v in chain))
@@ -365,31 +370,17 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
 
     # Structure reflects algebraic multiplicity: a diagonalizable double root
     # is still DoubleRoot even though it carries two simple modes.
-    svals: list[complex] = []
-    for mo in modes:
-        svals.extend([mo.rate / scale] * len(mo.vectors))
-    alg: list[int] = []
-    used = [False] * 3
-    for i in range(3):
-        if used[i]:
-            continue
-        group = 1
-        for j in range(i + 1, 3):
-            if not used[j] and abs(svals[i] - svals[j]) <= 1e-8 * max(
-                1.0, abs(svals[i]), abs(svals[j])
-            ):
-                used[j] = True
-                group += 1
-        alg.append(group)
+    svals = [s for s, _ in s_roots]
+    top = max(mult for _, mult in s_roots)
     has_osc = any(abs(s.real) <= ztol and abs(s.imag) > ztol for s in svals)
     has_zero = any(abs(s) <= ztol for s in svals)
     if has_osc:
         structure = SpectrumStructure.OSCILLATORY_UNDAMPED
     elif has_zero:
         structure = SpectrumStructure.ZERO_MODE
-    elif max(alg) == 3:
+    elif top == 3:
         structure = SpectrumStructure.TRIPLE_ROOT
-    elif max(alg) == 2:
+    elif top == 2:
         structure = SpectrumStructure.DOUBLE_ROOT
     elif any(abs(s.imag) > ztol for s in svals):
         structure = SpectrumStructure.COMPLEX_PAIR_PLUS_REAL

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import LindbladForm, SystemSpec, min_eig2
+from .model import LindbladForm, SystemSpec, hermitian_span, min_eig2
 
 COMMUTE_RTOL = 1e-10
 
@@ -72,36 +72,6 @@ class NoUnitons:
 UnitonVerdict = AllStates | StationaryPointerOnly | NoUnitons
 
 
-def _dagger_flat(x: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint in flat coordinates (f11, f12, f21, f22)."""
-    return np.array(
-        [np.conj(x[0]), np.conj(x[2]), np.conj(x[1]), np.conj(x[3])], dtype=complex
-    )
-
-
-def _matrix_from_flat(x: np.ndarray) -> np.ndarray:
-    return np.array([[x[0], x[1]], [x[2], x[3]]], dtype=complex)
-
-
-def _hermitian_kernel_basis(nullvecs: list[np.ndarray]) -> list[np.ndarray]:
-    """Real basis of Hermitian matrices inside a dagger-closed kernel."""
-    rows = []
-    for v in nullvecs:
-        for w in (0.5 * (v + _dagger_flat(v)), 0.5j * (v - _dagger_flat(v))):
-            rows.append([w[0].real, w[1].real, w[1].imag, w[3].real])
-    if not rows:
-        return []
-    arr = np.array(rows, dtype=float)
-    _, s, vh = np.linalg.svd(arr)
-    tol = 1e-10 * max(1.0, float(s[0]) if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    out = []
-    for i in range(rank):
-        a, x, y, d = vh[i]
-        out.append(np.array([[a, x + 1j * y], [x - 1j * y, d]], dtype=complex))
-    return out
-
-
 def classify_unitons(spec: SystemSpec) -> UnitonVerdict:
     """Full case analysis of the uniton conditions for one system."""
     h = spec.hamiltonian.matrix
@@ -120,7 +90,7 @@ def classify_unitons(spec: SystemSpec) -> UnitonVerdict:
     if dim == 0:
         return NoUnitons(reason="the dissipative condition has only the zero solution")
 
-    basis = _hermitian_kernel_basis(nullvecs)
+    basis = hermitian_span([v.reshape(2, 2) for v in nullvecs])
     traces = [float(np.trace(b).real) for b in basis]
     pivot = int(np.argmax(np.abs(traces)))
     if abs(traces[pivot]) < 1e-10:

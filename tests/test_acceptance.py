@@ -17,11 +17,14 @@ from fgkls.evolution import (
     trajectory,
 )
 from fgkls.model import (
+    Canonical,
     DiagonalL,
+    GeneralL,
     Hamiltonian,
     JordanL,
     SystemSpec,
     det2,
+    from_frame,
     gauge_shift,
 )
 from fgkls.numerics import cubic_roots
@@ -29,7 +32,13 @@ from fgkls.oracle import IntegratorConfig, det_scan, integrate
 from fgkls.pointer import UniquePointer, compute_pointer, pointer_residual
 from fgkls.perturb import SMALL_C_GRID, order_estimate, pointer_series, weak_rates
 from fgkls.sampling import random_complex, random_density, random_hamiltonian, random_spec
-from fgkls.spectral import StabilityVerdict, assert_stability, char_cubic, spectrum
+from fgkls.spectral import (
+    SpectrumStructure,
+    StabilityVerdict,
+    assert_stability,
+    char_cubic,
+    spectrum,
+)
 from fgkls.uniton import AllStates, NoUnitons, StationaryPointerOnly, classify_unitons
 
 SEED = 987654321
@@ -66,6 +75,21 @@ def diagonal_double_root_spec(rng, c=None):
     off = c * c / 8.0
     h = Hamiltonian([[e0, off], [off, e0]])
     return SystemSpec(h, DiagonalL(1.0, 0.0, c))
+
+
+def haar_unitary(rng):
+    z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def rotated_general(spec, u, a=1.0):
+    """The same physics in the basis u, passed as general form with the
+    coupling split as L = (c / a) * (a * u l u^dag)."""
+    l_rot = a * (u @ spec.lindblad.small_l() @ u.conj().T)
+    h_rot = Hamiltonian(from_frame(spec.hamiltonian.matrix, u))
+    return SystemSpec(h_rot, GeneralL(l_rot, spec.c / a))
 
 
 def test_criterion_01_pointer_stationarity():
@@ -382,4 +406,37 @@ def test_criterion_10_uniton_table():
         "criterion 10: uniton classification table and both defining conditions",
         table_ok and conditions_ok,
         "canonical branches and stationary unitons verified",
+    )
+
+
+def test_criterion_11_rotated_general_form_on_coinciding_roots():
+    rng = np.random.default_rng(SEED + 8)
+    expected = {
+        jordan_double_root_spec: SpectrumStructure.DOUBLE_ROOT,
+        jordan_triple_root_spec: SpectrumStructure.TRIPLE_ROOT,
+        diagonal_double_root_spec: SpectrumStructure.DOUBLE_ROOT,
+    }
+    worst = 0.0
+    structures_ok = True
+    count = 0
+    for family, structure in expected.items():
+        for _ in range(8):
+            spec = rotated_general(family(rng), haar_unitary(rng), float(rng.uniform(0.5, 2.0)))
+            assert isinstance(spec.reduction, Canonical)
+            structures_ok = structures_ok and spectrum(spec).structure is structure
+            res = compute_pointer(spec)
+            structures_ok = structures_ok and isinstance(res, UniquePointer)
+            structures_ok = structures_ok and pointer_residual(spec, res.rho) < 1e-10
+            rho0 = random_density(rng)
+            t_end = 10.0 / spec.c**2
+            stride = max(1, int(round(t_end / 1e-3 / 500)))
+            cfg = IntegratorConfig(dt=1e-3, t_end=t_end, record_stride=stride)
+            ts, rhos = integrate(spec, rho0, cfg)
+            ana = trajectory(solve_ivp(spec, rho0), ts)
+            worst = max(worst, float(np.max(np.abs(ana - rhos))))
+            count += 1
+    report(
+        "criterion 11: rotated coinciding-root systems in general form match the oracle",
+        worst < 1e-6 and structures_ok and count == 24,
+        f"{count} systems, max deviation {worst:.2e}",
     )

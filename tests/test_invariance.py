@@ -1,0 +1,155 @@
+"""Unitary covariance of the pipeline.
+
+A canonical system rotated by a unitary U and passed in general form must
+give U (result) U^dag of the canonical system: the same pointer, rates and
+trajectory up to the change of basis.  General input reaches the numeric
+general path only when ``canonicalize`` finds no unitary reduction.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fgkls import model, pointer, spectral
+from fgkls.evolution import solve_ivp, trajectory
+from fgkls.model import Canonical, DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec, from_frame
+from fgkls.oracle import IntegratorConfig, integrate
+from fgkls.pointer import FullFamily, LineFamily, UniquePointer, compute_pointer, pointer_residual
+from fgkls.sampling import random_density, random_spec
+from fgkls.spectral import char_cubic, spectrum
+from fgkls.uniton import classify_unitons
+from test_acceptance import (
+    diagonal_double_root_spec,
+    haar_unitary,
+    jordan_double_root_spec,
+    jordan_triple_root_spec,
+    rotated_general,
+)
+
+FAMILIES = {
+    "diagonal": lambda rng: random_spec(rng, "diagonal", c_range=(0.5, 1.5), scale=1.2),
+    "jordan": lambda rng: random_spec(rng, "jordan", c_range=(0.5, 1.5), scale=1.2),
+    "jordan double root": jordan_double_root_spec,
+    "jordan triple root": jordan_triple_root_spec,
+    "diagonal double root": diagonal_double_root_spec,
+}
+
+
+def rates(spec):
+    return [m.rate for m in spectrum(spec).modes for _ in m.vectors]
+
+
+def max_rate_mismatch(got, want):
+    """Largest distance after pairing each rate with its nearest partner."""
+    want = list(want)
+    worst = 0.0
+    for r in got:
+        k = int(np.argmin([abs(r - w) for w in want]))
+        worst = max(worst, abs(r - want.pop(k)))
+    return worst
+
+
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(sorted(FAMILIES)))
+@settings(max_examples=40, deadline=None)
+def test_rotated_general_form_is_the_frame_mapped_canonical_result(seed, family):
+    rng = np.random.default_rng(seed)
+    spec = FAMILIES[family](rng)
+    u = haar_unitary(rng)
+    # a != 1 makes the Jordan reduction rescale the coupling.
+    a = float(rng.uniform(0.5, 2.0))
+    rot = rotated_general(spec, u, a)
+    assert isinstance(rot.reduction, Canonical)
+
+    want, got = compute_pointer(spec), compute_pointer(rot)
+    assert isinstance(want, UniquePointer) and isinstance(got, UniquePointer)
+    assert np.max(np.abs(got.rho - from_frame(want.rho, u))) < 1e-9
+    assert np.array_equal(got.rho, got.rho.conj().T)
+
+    assert spectrum(rot).structure is spectrum(spec).structure
+    assert max_rate_mismatch(rates(rot), rates(spec)) < 1e-9 * max(1.0, spec.c**2)
+    # The cubic in s = rate / c^2 scales its roots by (c / c_rot)^2 = a^2.
+    p2, p1, p0 = char_cubic(spec)
+    scaled = (p2 * a**2, p1 * a**4, p0 * a**6)
+    assert np.allclose(char_cubic(rot), scaled, rtol=1e-9, atol=1e-12)
+
+    rho0 = random_density(rng)
+    t_end = 4.0 / spec.c**2
+    cfg = IntegratorConfig(dt=1e-3, t_end=t_end, record_stride=max(1, int(t_end / 1e-3) // 40))
+    ts, oracle = integrate(rot, from_frame(rho0, u), cfg)
+    traj = trajectory(solve_ivp(rot, from_frame(rho0, u)), ts)
+    mapped = np.array([from_frame(r, u) for r in trajectory(solve_ivp(spec, rho0), ts)])
+    assert np.max(np.abs(traj - mapped)) < 1e-9
+    assert np.max(np.abs(traj - oracle)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "spec, variant",
+    [
+        # A diagonal family in the canonical frame is a line elsewhere.
+        (SystemSpec(Hamiltonian.diagonal(1.0, 0.0), DiagonalL(0.4, 1.1, 0.9)), LineFamily),
+        (SystemSpec(Hamiltonian([[1.2, 0.3], [0.3, 0.1]]), DiagonalL(0.7, 0.7, 1.0)), LineFamily),
+        (SystemSpec(Hamiltonian.diagonal(0.7, 0.7), DiagonalL(0.9, 0.9, 1.3)), FullFamily),
+    ],
+)
+def test_rotated_families_map_to_stationary_families(rng, spec, variant):
+    rot = rotated_general(spec, haar_unitary(rng))
+    res = compute_pointer(rot)
+    assert isinstance(res, variant)
+    directions = res.directions if variant is FullFamily else (res.direction,)
+    assert np.linalg.matrix_rank(np.array([d.ravel() for d in directions])) == len(directions)
+    for rho in [res.base] + [res.base + 0.1 * d for d in directions]:
+        assert np.array_equal(rho, rho.conj().T)
+        assert pointer_residual(rot, rho) < 1e-12
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts canonicalize calls and fails any generator built for a GeneralL
+    spec that canonicalize reduces."""
+    calls = []
+    real = model.canonicalize
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def guarded(build):
+        def wrapper(spec):
+            if isinstance(spec.lindblad, GeneralL):
+                assert not isinstance(spec.reduction, Canonical)
+            return build(spec)
+
+        return wrapper
+
+    monkeypatch.setattr(model, "canonicalize", counting)
+    monkeypatch.setattr(pointer, "build_generator", guarded(pointer.build_generator))
+    monkeypatch.setattr(spectral, "build_generator", guarded(spectral.build_generator))
+    return calls
+
+
+def run_pipeline(spec, rho0):
+    compute_pointer(spec)
+    spectrum(spec)
+    char_cubic(spec)
+    trajectory(solve_ivp(spec, rho0), np.linspace(0.0, 2.0, 5))
+    classify_unitons(spec)
+
+
+def test_canonicalize_runs_once_per_general_spec(counted, rng):
+    rho0 = random_density(rng)
+    h = Hamiltonian([[0.6, 0.2 - 0.3j], [0.2 + 0.3j, -0.4]])
+    for canonical in (DiagonalL(0.3 + 0.1j, -0.8j, 1.1), JordanL(0.4 - 0.2j, 0.9)):
+        spec = SystemSpec(h, canonical)
+        run_pipeline(spec, rho0)
+        assert counted == []
+        general = rotated_general(spec, haar_unitary(rng))
+        run_pipeline(general, rho0)
+        run_pipeline(general, rho0)
+        assert len(counted) == 1
+        counted.clear()
+    # Non-normal l with distinct eigenvalues keeps the numeric path.
+    general = SystemSpec(h, GeneralL([[1.0, 1.0], [0.0, 2.0]], 0.7))
+    run_pipeline(general, rho0)
+    assert len(counted) == 1
+    assert isinstance(general.reduction, model.NonCanonical)

@@ -16,6 +16,7 @@ from fgkls.model import (
     canonicalize,
     from_frame,
     gauge_shift,
+    min_eig2,
     to_frame,
     validate_density,
 )
@@ -98,6 +99,23 @@ class TestCanonicalize:
         assert isinstance(res.lindblad, DiagonalL)
         assert res.lindblad.lambda1 == pytest.approx(res.lindblad.lambda2)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150])
+    def test_rotated_jordan_blocks_across_scales(self, rng, scale):
+        # Schur eigenvalues of a defective matrix split by about sqrt(eps);
+        # the discriminant stays at rounding level and decides the shape.
+        for _ in range(300):
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            u = q * (np.diag(r) / np.abs(np.diag(r)))
+            lam = 10.0 ** rng.uniform(-3.0, 3.0) * np.exp(2j * np.pi * rng.uniform())
+            l_raw = scale * (u @ np.array([[lam, 1.0], [0.0, lam]]) @ u.conj().T)
+            res = canonicalize(l_raw, 0.8, Hamiltonian.zero())
+            assert isinstance(res, Canonical)
+            assert isinstance(res.lindblad, JordanL)
+            assert res.lindblad.lam * res.lindblad.c == pytest.approx(0.8 * scale * lam, rel=1e-12)
+            assert np.allclose(res.basis.conj().T @ res.basis, np.eye(2), atol=1e-14)
+            back = from_frame(res.lindblad.small_l() * (res.lindblad.c / (0.8 * scale)), res.basis)
+            assert np.max(np.abs(back - l_raw / scale)) < 1e-12 * abs(lam) + 1e-13
+
     @pytest.mark.parametrize("kind", ["normal", "defective"])
     def test_frame_equivalence_of_trajectories(self, rng, kind):
         # Evolving in the original frame and conjugating the canonical-frame
@@ -162,6 +180,13 @@ class TestValidateDensity:
         assert rep.hermitian
         assert rep.min_eigenvalue < 0.0
         # det = 0.24 - 0.25 = -0.01 puts the smaller eigenvalue below zero.
+
+    def test_min_eig_near_maximally_mixed(self, rng):
+        # tr^2 - 4 det cancels near I/2; the discriminant form does not.
+        for _ in range(2000):
+            a, x, y = rng.normal(size=3) * 10.0 ** rng.uniform(-9.0, -2.0)
+            rho = np.array([[0.5 + a, x + 1j * y], [x - 1j * y, 0.5 - a]])
+            assert abs(min_eig2(rho) - np.linalg.eigvalsh(rho)[0]) < 1e-15
 
     def test_as_density_rejects_bad_trace(self):
         with pytest.raises(InputError):

@@ -123,6 +123,14 @@ class TestSolve3:
         assert len(res.nullspace) == 1
         assert abs(abs(res.nullspace[0][2]) - 1.0) < 1e-12
 
+    def test_full_rank_behind_small_determinant(self):
+        # |det| = 2e-10 sends the solve to its SVD branch, where every
+        # singular value clears the rank threshold: the solution is unique.
+        m = np.diag([1.0, 1.0, 2e-10]).astype(complex)
+        res = solve3(m, [1.0, 2.0, 2e-10])
+        assert isinstance(res, UniqueSolution)
+        assert np.allclose(res.x, [1.0, 2.0, 1.0], atol=1e-9)
+
     @given(
         data=st.lists(finite_complex, min_size=12, max_size=12),
     )
@@ -179,6 +187,15 @@ class TestSchur2:
         assert np.linalg.norm(u @ t @ u.conj().T - m) < 1e-12 * max(
             1.0, np.linalg.norm(m)
         )
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e150, 1e200])
+    def test_extreme_scales(self, rng, scale):
+        for _ in range(50):
+            m = scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            u, t = schur2(m)
+            assert np.linalg.norm(u.conj().T @ u - np.eye(2)) < 1e-14
+            assert t[1, 0] == 0.0
+            assert np.max(np.abs(u @ t @ u.conj().T - m)) < 1e-13 * np.max(np.abs(m))
 
 
 def test_det3_matches_numpy(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fgkls import pointer
 from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec, det2, min_eig2
 from fgkls.pointer import (
     DiagonalFamily,
@@ -55,7 +56,7 @@ class TestDiagonalBranches:
             expected = h.matrix[0, 1] * (2.0 * f11 - 1.0) / h.gap
             assert rho[0, 1] == pytest.approx(expected, abs=1e-12)
 
-    def test_line_family_degenerate_gap_falls_to_numeric(self):
+    def test_line_family_degenerate_gap(self):
         h = Hamiltonian([[0.3, 0.25j], [-0.25j, 0.3]])
         spec = SystemSpec(h, DiagonalL(0.6, 0.6, 1.0))
         res = compute_pointer(spec)
@@ -111,7 +112,7 @@ class TestGeneralAndClosed:
                 assert min_eig2(res.rho) > -1e-12
 
     def test_general_matches_canonical_route(self, rng):
-        # Feeding a canonical shape through the general solver must agree.
+        # A canonical shape passed in general form must agree.
         for form in ("diagonal", "jordan"):
             for _ in range(40):
                 spec = random_spec(rng, form=form, c_range=(0.4, 2.0))
@@ -120,9 +121,24 @@ class TestGeneralAndClosed:
                 )
                 res_a = compute_pointer(spec)
                 res_b = compute_pointer(as_general)
+                # The numeric solver, which general input reaches only when
+                # it has no canonical frame, must agree on the same system.
+                res_c = pointer._general_pointer(as_general)
                 if isinstance(res_a, UniquePointer):
-                    assert isinstance(res_b, UniquePointer)
-                    assert np.max(np.abs(res_a.rho - res_b.rho)) < 1e-9
+                    for res in (res_b, res_c):
+                        assert isinstance(res, UniquePointer)
+                        assert np.max(np.abs(res_a.rho - res.rho)) < 1e-9
+
+    def test_weak_coupling_non_normal_near_singular(self):
+        # The stationary system's determinant is small enough to take the
+        # rank-revealing solve, which still finds full rank.
+        h = Hamiltonian.diagonal(0.5, -0.5)
+        for c in (1.1e-5, 1.3e-5, 1.5e-5):
+            spec = SystemSpec(h, GeneralL([[1.0, 1.0], [0.0, 2.0]], c))
+            res = compute_pointer(spec)
+            assert isinstance(res, UniquePointer)
+            assert pointer_residual(spec, res.rho) < 1e-10
+            assert np.max(np.abs(res.rho - res.rho.conj().T)) == 0.0
 
 
 class TestFamilies:

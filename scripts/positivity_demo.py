@@ -15,12 +15,11 @@ import numpy as np
 from fgkls.evolution import (
     positivity_window,
     reconstructed_mode_matrix,
-    rho_at,
     single_mode_reduction,
     solve_ivp,
     trajectory,
 )
-from fgkls.model import Hamiltonian, JordanL, SystemSpec, det2
+from fgkls.model import Hamiltonian, JordanL, SystemSpec, det2, min_eig2
 from fgkls.oracle import det_scan
 from fgkls.pointer import compute_pointer
 from fgkls.spectral import spectrum
@@ -61,15 +60,13 @@ def main() -> None:
     print(f"analytic window onset   : t_min = {win.t_min:.9f}")
 
     horizon = max(5.0 * win.t_min, 2.0)
-    scan = det_scan(lambda t: rho_at(sol, t), np.linspace(0.0, horizon, 4000))
+    scan = det_scan(lambda ts: trajectory(sol, ts), np.linspace(0.0, horizon, 4000))
     print(f"determinant-scan onset  : t_min = {scan:.9f}")
     print(f"difference              : {abs(scan - win.t_min):.2e}")
 
     ts = np.linspace(0.0, horizon, 9)
     print("\n    t        det rho(t)   min eigenvalue")
     for t, rho in zip(ts, trajectory(sol, ts)):
-        from fgkls.model import min_eig2
-
         print(f"  {t:7.3f}   {det2(rho):+.6f}    {min_eig2(rho):+.6f}")
 
 

@@ -41,6 +41,8 @@ from .model import (
     JordanL,
     SystemSpec,
     as_density,
+    det2,
+    min_eig2,
 )
 from .pointer import (
     DiagonalFamily,
@@ -194,21 +196,13 @@ def _spectrum_payload(spec: SystemSpec) -> dict:
 
 
 def _evolve_rows(sol, ts) -> list[list]:
+    """CSV rows in TRAJECTORY_HEADER order; the physical flag stays an int."""
     rhos = evolution.trajectory(sol, ts)
-    rows = []
-    for t, rho in zip(ts, rhos):
-        det, min_eig, physical = evolution.sample_diagnostics(rho)
-        rows.append(
-            [
-                float(t),
-                rho[0, 0].real, rho[0, 0].imag,
-                rho[0, 1].real, rho[0, 1].imag,
-                rho[1, 0].real, rho[1, 0].imag,
-                rho[1, 1].real, rho[1, 1].imag,
-                det, min_eig, int(physical),
-            ]
-        )
-    return rows
+    min_eig = min_eig2(rhos)
+    return np.column_stack((
+        ts, rhos.reshape(len(ts), 4).view(float), det2(rhos), min_eig,
+        (min_eig >= -1e-10).astype(int).astype(object),
+    )).tolist()
 
 
 def _positivity_payload(spec: SystemSpec, rho0, ts) -> dict:
@@ -228,7 +222,7 @@ def _positivity_payload(spec: SystemSpec, rho0, ts) -> dict:
             "s3": red.s3,
         }
     except NotReducibleError as exc:
-        t_min = oracle.det_scan(lambda t: evolution.rho_at(sol, t), ts)
+        t_min = oracle.det_scan(lambda ts: evolution.trajectory(sol, ts), ts)
         return {
             "method": "det-scan",
             "t_min": t_min,

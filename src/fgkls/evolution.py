@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, NotReducibleError
-from .model import as_density, coords, det2, direction_matrix, from_coords, min_eig2
+from .model import as_density, coords, det2, direction_matrix, from_coords
 from .pointer import compute_pointer, representative
 from .spectral import ModeDecomposition, spectrum
 from .model import SystemSpec
@@ -88,27 +88,12 @@ def _coords_at(sol: AnalyticSolution, ts: np.ndarray) -> np.ndarray:
 def rho_at(sol: AnalyticSolution, t: float) -> np.ndarray:
     """Density matrix at one time (Hermitian, unit trace; positivity is the
     positivity window's business)."""
-    x = _coords_at(sol, np.array([float(t)]))[0]
-    return from_coords(x)
+    return trajectory(sol, [float(t)])[0]
 
 
 def trajectory(sol: AnalyticSolution, ts) -> np.ndarray:
     """Stack of density matrices on a grid, shape (len(ts), 2, 2)."""
-    ts = np.asarray(ts, dtype=float)
-    xs = _coords_at(sol, ts)
-    out = np.empty((len(ts), 2, 2), dtype=complex)
-    out[:, 0, 0] = xs[:, 0]
-    out[:, 0, 1] = xs[:, 1]
-    out[:, 1, 0] = xs[:, 2]
-    out[:, 1, 1] = 1.0 - xs[:, 0]
-    return out
-
-
-def sample_diagnostics(rho: np.ndarray, tol: float = 1e-10) -> tuple[float, float, bool]:
-    """(det, min eigenvalue, physical flag) for one trajectory sample."""
-    d = det2(rho)
-    me = min_eig2(rho)
-    return d, me, bool(me >= -tol)
+    return from_coords(_coords_at(sol, np.asarray(ts, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -245,21 +245,28 @@ class DensityReport:
     min_eigenvalue: float
 
 
-def det2(rho: np.ndarray) -> float:
-    """Determinant of a (numerically) Hermitian 2x2 matrix, as a real number."""
-    return float((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
+def _re_product(a, b):
+    # Rounds like a scalar complex product; numpy's vectorised one may not.
+    return a.real * b.real - a.imag * b.imag
 
 
-def min_eig2(rho: np.ndarray) -> float:
-    """Smaller eigenvalue of a Hermitian 2x2 matrix: (tr - sqrt(disc)) / 2.
+def det2(rho: np.ndarray):
+    """Determinant of a (numerically) Hermitian 2x2 matrix as a real number,
+    or of each matrix in a stack of shape (..., 2, 2) as an array."""
+    return _re_product(rho[..., 0, 0], rho[..., 1, 1]) - _re_product(rho[..., 0, 1], rho[..., 1, 0])
+
+
+def min_eig2(rho: np.ndarray):
+    """Smaller eigenvalue of a Hermitian 2x2 matrix (or of each in a stack
+    (..., 2, 2)): (tr - sqrt(disc)) / 2.
 
     disc = (f11 - f22)^2 + 4 Re(f12 f21) equals tr^2 - 4 det without the
     cancellation that costs half the precision near I/2.
     """
-    tr = float((rho[0, 0] + rho[1, 1]).real)
-    diff = float((rho[0, 0] - rho[1, 1]).real)
-    disc = diff * diff + 4.0 * float((rho[0, 1] * rho[1, 0]).real)
-    return (tr - math.sqrt(max(disc, 0.0))) / 2.0
+    tr = (rho[..., 0, 0] + rho[..., 1, 1]).real
+    diff = (rho[..., 0, 0] - rho[..., 1, 1]).real
+    disc = diff * diff + 4.0 * _re_product(rho[..., 0, 1], rho[..., 1, 0])
+    return (tr - np.sqrt(np.maximum(disc, 0.0))) / 2.0
 
 
 def validate_density(rho, tol: float = 1e-9) -> DensityReport:
@@ -297,8 +304,15 @@ def coords(rho: np.ndarray) -> np.ndarray:
 
 
 def from_coords(x: np.ndarray) -> np.ndarray:
-    """Unit-trace matrix from coordinates, f22 = 1 - f11."""
-    return np.array([[x[0], x[1]], [x[2], 1.0 - x[0]]], dtype=complex)
+    """Unit-trace matrix from coordinates, f22 = 1 - f11; a stack of
+    coordinates (..., 3) gives a stack of matrices (..., 2, 2)."""
+    x = np.asarray(x, dtype=complex)
+    out = np.empty(x.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = x[..., 0]
+    out[..., 0, 1] = x[..., 1]
+    out[..., 1, 0] = x[..., 2]
+    out[..., 1, 1] = 1.0 - x[..., 0]
+    return out
 
 
 def direction_matrix(x: np.ndarray) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The integrator never touches the spectral machinery.  It probes the
 right-hand side at basis states to recover the (exactly affine) field on
-(f11, f12, f21) and then applies the classical 4th-order step; on an affine
-field the step is itself affine, so it is precomputed once and iterated,
-which reproduces the literal RK4 sequence up to rounding at a fraction of
-the cost.  Trace is never renormalized: drift is a measured diagnostic.
+(f11, f12, f21) and then applies the classical 4th-order step, itself an
+affine map x -> P x + r.  s steps compose into the stride map
+x -> P^s x + (sum_{i<s} P^i) r, applied once per recorded sample; this
+reproduces the literal RK4 sequence up to rounding at a fraction of the
+cost.  Trace is never renormalized: drift is a measured diagnostic.
 """
 
 from __future__ import annotations
@@ -75,6 +76,16 @@ def _step_maps(m: np.ndarray, q: np.ndarray, dt: float) -> tuple[np.ndarray, np.
     return p, r
 
 
+def _power_map(p: np.ndarray, r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """x -> P x + r composed n times, (P^n, (sum_{i<n} P^i) r), by binary
+    powering of the augmented matrix [[P, r], [0, 1]]."""
+    aug = np.eye(4, dtype=complex)
+    aug[:3, :3] = p
+    aug[:3, 3] = r
+    aug = np.linalg.matrix_power(aug, n)
+    return aug[:3, :3], aug[:3, 3]
+
+
 def _check_gate(spec: SystemSpec, dt: float) -> None:
     scale = stiffness_scale(spec)
     if scale > 0.0 and dt > 0.1 / scale:
@@ -92,15 +103,16 @@ def integrate(
     m, q = _affine_field(spec)
     p, r = _step_maps(m, q, cfg.dt)
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
-    x = coords(rho0)
-    times = [0.0]
-    states = [from_coords(x)]
-    for k in range(1, n_steps + 1):
-        x = p @ x + r
-        if k % cfg.record_stride == 0 or k == n_steps:
-            times.append(k * cfg.dt)
-            states.append(from_coords(x))
-    return np.array(times), np.array(states)
+    stride = min(cfg.record_stride, n_steps)
+    steps = list(range(0, n_steps + 1, stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    p_s, r_s = _power_map(p, r, stride)
+    xs = [coords(rho0)]
+    for k0, k1 in zip(steps, steps[1:]):
+        p_k, r_k = (p_s, r_s) if k1 - k0 == stride else _power_map(p, r, k1 - k0)
+        xs.append(p_k @ xs[-1] + r_k)
+    return np.array(steps) * cfg.dt, from_coords(np.array(xs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +154,12 @@ def pointer_numeric(
     m, q = _affine_field(spec)
     p, r = _step_maps(m, q, dt)
     steps_per_window = max(1, int(round(window / dt)))
+    p_w, r_w = _power_map(p, r, steps_per_window)
     x = coords(rho0)
     snapshot = x.copy()
     t = 0.0
     while t < t_cap:
-        for _ in range(steps_per_window):
-            x = p @ x + r
+        x = p_w @ x + r_w
         t += steps_per_window * dt
         if float(np.linalg.norm(x - snapshot)) < tol:
             return Converged(rho=from_coords(x), t=t)
@@ -155,16 +167,17 @@ def pointer_numeric(
     return NotConverged(reason=f"no settling within t = {t_cap:g}")
 
 
-def det_scan(rho_fn, t_grid, t_tol: float = 1e-8, det_tol: float = 1e-12):
+def det_scan(states_fn, t_grid, t_tol: float = 1e-8, det_tol: float = 1e-12):
     """Earliest time from which det rho(t) stays nonnegative on the grid.
 
-    Returns 0.0 when the determinant never goes negative, None when it is
-    still negative at the end of the horizon, and otherwise the crossing
-    time refined by bisection to t_tol.
+    ``states_fn`` maps an array of times to the stack of states there; the
+    grid takes one call, each bisection step a call with one time.  Returns
+    0.0 when the determinant never goes negative, None when it is still
+    negative at the end of the horizon, and otherwise the crossing time
+    refined by bisection to t_tol.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    dets = np.array([det2(rho_fn(t)) for t in t_grid])
-    neg = dets < -det_tol
+    neg = det2(states_fn(t_grid)) < -det_tol
     if not np.any(neg):
         return 0.0
     last_neg = int(np.max(np.nonzero(neg)[0]))
@@ -173,7 +186,7 @@ def det_scan(rho_fn, t_grid, t_tol: float = 1e-8, det_tol: float = 1e-12):
     lo, hi = float(t_grid[last_neg]), float(t_grid[last_neg + 1])
     while hi - lo > t_tol:
         mid = 0.5 * (lo + hi)
-        if det2(rho_fn(mid)) < -det_tol:
+        if det2(states_fn(np.array([mid]))[0]) < -det_tol:
             lo = mid
         else:
             hi = mid

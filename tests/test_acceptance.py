@@ -342,7 +342,7 @@ def test_criterion_09_positivity_window():
             continue
         horizon = max(6.0 * win.t_min, 2.0)
         scan = det_scan(
-            lambda t: rho_at(sol, t), np.linspace(0.0, horizon, 4000)
+            lambda ts: trajectory(sol, ts), np.linspace(0.0, horizon, 4000)
         )
         checked += 1
         worst_gap = max(worst_gap, abs(scan - win.t_min))

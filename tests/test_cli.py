@@ -2,9 +2,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fgkls.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, TRAJECTORY_HEADER, main
+from fgkls.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, TRAJECTORY_HEADER, _evolve_rows, main
+from fgkls.evolution import solve_ivp, trajectory
+from fgkls.model import DiagonalL, Hamiltonian, JordanL, SystemSpec, det2, min_eig2
+from fgkls.sampling import random_density, random_spec
 
 
 def write_job(tmp_path, doc, name="job.json"):
@@ -84,6 +88,37 @@ class TestEvolveCommand:
             t, f22 = float(row[0]), float(row[7])
             assert abs(f22 - math.exp(-t)) < 1e-8
             assert row[11] == "1"
+
+    def test_rows_match_per_sample_scalars(self, rng):
+        amp_damp = SystemSpec(Hamiltonian.diagonal(0.3, 0.3), JordanL(0.0, 1.0))
+        # A Hermitian coupling is unital: these states converge to I/2.
+        unital = SystemSpec(Hamiltonian([[0.4, 0.3], [0.3, -0.2]]), DiagonalL(1.0, -1.0, 1.2))
+        cases = [(random_spec(rng, form=form), random_density(rng))
+                 for form in ("diagonal", "jordan", "general")]
+        cases += [
+            (unital, random_density(rng)),
+            # Unphysical from the start, then physical after t = ln 2.
+            (amp_damp, np.diag([-1.0, 2.0]).astype(complex)),
+        ]
+        flags = set()
+        for spec, rho0 in cases:
+            sol = solve_ivp(spec, rho0)
+            ts = np.linspace(0.0, 40.0 / spec.c**2, 300)
+            rows = _evolve_rows(sol, ts)
+            assert len(rows) == len(ts)
+            for row, t, rho in zip(rows, ts, trajectory(sol, ts)):
+                assert len(row) == len(TRAJECTORY_HEADER)
+                assert row[0] == t
+                entries = [z for v in rho.ravel() for z in (v.real, v.imag)]
+                assert np.max(np.abs(np.array(row[1:9]) - entries)) <= 1e-15
+                assert abs(row[9] - det2(rho)) <= 1e-15
+                assert abs(row[10] - min_eig2(rho)) <= 1e-15
+                assert type(row[11]) is int
+                assert row[11] == int(min_eig2(rho) >= -1e-10)
+                flags.add(row[11])
+        assert flags == {0, 1}
+        late = np.array(_evolve_rows(solve_ivp(unital, random_density(rng)), [200.0])[0][1:9])
+        assert np.max(np.abs(late - [0.5, 0, 0, 0, 0, 0, 0.5, 0])) < 1e-12
 
     def test_missing_initial_state_is_schema_error(self, tmp_path, capsys):
         doc = degenerate_jordan_job(command="evolve")

@@ -222,7 +222,7 @@ class TestPositivityWindow:
         assert win.t_min == pytest.approx(expected, rel=1e-10)
 
         horizon = max(4.0 * win.t_min, 2.0)
-        scan = det_scan(lambda t: rho_at(sol, t), np.linspace(0.0, horizon, 2000))
+        scan = det_scan(lambda ts: trajectory(sol, ts), np.linspace(0.0, horizon, 2000))
         assert scan == pytest.approx(win.t_min, abs=1e-8)
 
         ts = np.linspace(win.t_min, win.t_min + 20.0, 500)

@@ -14,6 +14,7 @@ from fgkls.model import (
     SystemSpec,
     as_density,
     canonicalize,
+    det2,
     from_frame,
     gauge_shift,
     min_eig2,
@@ -187,6 +188,31 @@ class TestValidateDensity:
             a, x, y = rng.normal(size=3) * 10.0 ** rng.uniform(-9.0, -2.0)
             rho = np.array([[0.5 + a, x + 1j * y], [x - 1j * y, 0.5 - a]])
             assert abs(min_eig2(rho) - np.linalg.eigvalsh(rho)[0]) < 1e-15
+
+    def test_stack_matches_single_matrices(self, rng):
+        # The CSV columns of evolve come from the stack form, every other
+        # caller passes one matrix: both must give the same bits.
+        n = 500
+        a, x, y = rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-9.0, 0.0, size=n)
+        stack = np.empty((n, 2, 2), dtype=complex)
+        stack[:, 0, 0] = 0.5 + a
+        stack[:, 0, 1] = x + 1j * y
+        stack[:, 1, 0] = x - 1j * y
+        stack[:, 1, 1] = 0.5 - a
+        dets, mins = det2(stack), min_eig2(stack)
+        assert dets.shape == mins.shape == (n,)
+        for k in range(n):
+            assert isinstance(det2(stack[k]), float) and isinstance(min_eig2(stack[k]), float)
+            assert dets[k] == det2(stack[k])
+            assert mins[k] == min_eig2(stack[k])
+        assert np.max(np.abs(mins - np.linalg.eigvalsh(stack)[:, 0])) < 1e-15
+
+    def test_det_rounds_like_the_scalar_formula(self, rng):
+        # Vectorised complex products may round differently in the last bit.
+        stack = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+        dets = det2(stack)
+        for k, m in enumerate(stack.tolist()):
+            assert dets[k] == (m[0][0] * m[1][1] - m[0][1] * m[1][0]).real
 
     def test_as_density_rejects_bad_trace(self):
         with pytest.raises(InputError):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fgkls.errors import ConfigError
-from fgkls.evolution import rho_at, solve_ivp, trajectory
+from fgkls.evolution import solve_ivp, trajectory
+from fgkls.generator import rhs
 from fgkls.model import DiagonalL, Hamiltonian, JordanL, SystemSpec
 from fgkls.oracle import (
     Converged,
@@ -34,6 +35,29 @@ class TestIntegrate:
         stiff = SystemSpec(Hamiltonian.diagonal(50.0, -50.0), JordanL(0.0, 1.0))
         with pytest.raises(ConfigError):
             integrate(stiff, GROUND, IntegratorConfig(dt=1e-2, t_end=1.0))
+
+    @pytest.mark.parametrize("stride", [1, 50, 70, 900])
+    def test_strided_matches_literal_steps(self, stride):
+        # 500 steps: a stride that divides them, one that leaves a remainder,
+        # one larger than the run, and single steps.
+        h = Hamiltonian([[0.8, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
+        spec = SystemSpec(h, JordanL(0.5 + 0.3j, 1.0))
+        rho0 = np.array([[0.8, 0.1 + 0.2j], [0.1 - 0.2j, 0.2]])
+        dt, n_steps = 1e-3, 500
+        literal = [rho0.astype(complex)]
+        for _ in range(n_steps):
+            rho = literal[-1]
+            k1 = rhs(spec, rho)
+            k2 = rhs(spec, rho + dt / 2.0 * k1)
+            k3 = rhs(spec, rho + dt / 2.0 * k2)
+            k4 = rhs(spec, rho + dt * k3)
+            literal.append(rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        ks = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})
+
+        cfg = IntegratorConfig(dt=dt, t_end=n_steps * dt, record_stride=stride)
+        ts, rhos = integrate(spec, rho0, cfg)
+        assert ts.tolist() == [k * dt for k in ks]
+        assert np.max(np.abs(rhos - np.array([literal[k] for k in ks]))) < 1e-12
 
     def test_amplitude_damping_reference(self):
         cfg = IntegratorConfig(dt=1e-3, t_end=5.0, record_stride=100)
@@ -121,17 +145,35 @@ class TestDetScan:
         spec = random_spec(rng, form="jordan", c_range=(0.5, 1.5))
         sol = solve_ivp(spec, random_density(rng))
         ts = np.linspace(0.0, 20.0, 800)
-        assert det_scan(lambda t: rho_at(sol, t), ts) == 0.0
+        assert det_scan(lambda ts: trajectory(sol, ts), ts) == 0.0
 
     def test_never_positive_returns_none(self):
         sol = solve_ivp(AMP_DAMP, np.diag([1.25, -0.25]).astype(complex))
         ts = np.linspace(0.0, 3.0, 400)
-        assert det_scan(lambda t: rho_at(sol, t), ts) is None
+        assert det_scan(lambda ts: trajectory(sol, ts), ts) is None
+
+    def test_grid_is_evaluated_in_one_call(self):
+        rho0 = np.array([[-1.0, 0.0], [0.0, 2.0]], dtype=complex)
+        sol = solve_ivp(AMP_DAMP, rho0)
+        ts = np.linspace(0.0, 10.0, 1000)
+        sizes = []
+
+        def states(grid):
+            sizes.append(len(grid))
+            return trajectory(sol, grid)
+
+        assert det_scan(states, ts) == pytest.approx(math.log(2.0), abs=1e-8)
+        assert sizes[0] == len(ts)
+        assert sizes[1:] and set(sizes[1:]) == {1}
+
+        sizes.clear()
+        assert det_scan(states, np.linspace(5.0, 10.0, 300)) == 0.0
+        assert sizes == [300]
 
     def test_crossing_found_to_tolerance(self):
         # det rho(t) = (1 - 2 e^-t) e^-t for this construction: crossing at ln 2.
         rho0 = np.array([[-1.0, 0.0], [0.0, 2.0]], dtype=complex)
         sol = solve_ivp(AMP_DAMP, rho0)
         ts = np.linspace(0.0, 10.0, 1000)
-        got = det_scan(lambda t: rho_at(sol, t), ts)
+        got = det_scan(lambda ts: trajectory(sol, ts), ts)
         assert got == pytest.approx(math.log(2.0), abs=1e-8)

@@ -68,21 +68,28 @@ def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
 
 
 def _coords_at(sol: AnalyticSolution, ts: np.ndarray) -> np.ndarray:
-    """Coordinates (f11, f12, f21) on a time grid, shape (len(ts), 3)."""
-    out = np.tile(coords(sol.pointer_part), (len(ts), 1))
-    idx = 0
+    """Coordinates (f11, f12, f21) on a time grid, shape (len(ts), 3): the
+    pointer plus W @ vectors, with one column of W per chain vector i,
+    W[:, i] = exp(rate t) * sum_p poly[p, i] t^p."""
+    amps = sol.amplitudes.tolist()
+    rates = []
+    # poly[p][i] = a_(i+p) / p!, down the chain that vector i belongs to.
+    poly = [[0j] * 3 for _ in range(max(len(mode.vectors) for mode in sol.modes.modes))]
     for mode in sol.modes.modes:
-        k = len(mode.vectors)
-        amps = sol.amplitudes[idx : idx + k]
-        idx += k
-        phase = np.exp(mode.rate * ts)  # |exp| <= 1 for this flow
-        for i, v in enumerate(mode.vectors):
-            # weight_i(t) = sum_{j >= i} a_j t^(j-i) / (j-i)!
-            w = np.zeros(len(ts), dtype=complex)
-            for j in range(i, k):
-                w += amps[j] * ts ** (j - i) / math.factorial(j - i)
-            out += (phase * w)[:, None] * v[None, :]
-    return out
+        k, col = len(mode.vectors), len(rates)
+        rates += [mode.rate] * k
+        for i in range(col, col + k):
+            for p in range(col + k - i):
+                poly[p][i] = amps[i + p] / math.factorial(p)
+    vectors = np.array([v for mode in sol.modes.modes for v in mode.vectors])
+    t = ts[:, None]
+    rows = np.array(poly)
+    weights = rows[-1]
+    for row in rows[-2::-1]:
+        weights = row + t * weights
+    # |exp(rate t)| <= 1 for this flow.
+    weights = np.exp(np.array(rates) * t) * weights
+    return coords(sol.pointer_part) + weights.dot(vectors)
 
 
 def rho_at(sol: AnalyticSolution, t: float) -> np.ndarray:

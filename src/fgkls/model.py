@@ -40,6 +40,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _hermitian_part(m, tol: float) -> tuple[bool, np.ndarray, complex]:
+    """(whether max|m - m^dag| <= tol * max(1, ||m||), (m + m^dag) / 2, tr m)
+    for a finite 2x2 matrix.
+
+    Scalar arithmetic on the four entries: numpy's per-call overhead would
+    cost several times the arithmetic itself.
+    """
+    (a, b), (g, d) = finite_matrix(m).tolist()
+    scale = max(1.0, math.hypot(a.real, a.imag, b.real, b.imag, g.real, g.imag, d.real, d.imag))
+    hermitian = max(2.0 * abs(a.imag), abs(b - g.conjugate()), 2.0 * abs(d.imag)) <= tol * scale
+    off = (b + g.conjugate()) / 2
+    return hermitian, np.array([[a.real, off], [off.conjugate(), d.real]], dtype=complex), a + d
+
+
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """2x2 Hermitian Hamiltonian (hbar = 1), symmetrized on construction."""
@@ -47,11 +61,10 @@ class Hamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = finite_matrix(self.matrix)
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL * scale:
+        hermitian, sym, _ = _hermitian_part(self.matrix, HERMITICITY_ATOL)
+        if not hermitian:
             raise InputError("Hamiltonian is not Hermitian")
-        object.__setattr__(self, "matrix", _frozen((m + m.conj().T) / 2.0))
+        object.__setattr__(self, "matrix", _frozen(sym))
 
     @property
     def gap(self) -> float:
@@ -184,6 +197,13 @@ def from_frame(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis @ rho @ basis.conj().T
 
 
+def from_frame_hermitian(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``from_frame`` of a Hermitian matrix, symmetrized so that it stays
+    Hermitian past rounding."""
+    r = from_frame(m, basis)
+    return 0.5 * (r + r.conj().T)
+
+
 def canonicalize(l_raw, c: float, hamiltonian: Hamiltonian) -> Canonical | NonCanonical:
     """Reduce a raw Lindblad matrix to diagonal or Jordan shape if possible.
 
@@ -275,27 +295,21 @@ def validate_density(rho, tol: float = 1e-9) -> DensityReport:
     Positivity is reported, never enforced: min_eigenvalue < 0 flags an
     unphysical matrix without raising.
     """
-    rho = finite_matrix(rho)
-    scale = max(1.0, float(np.linalg.norm(rho)))
-    herm = float(np.max(np.abs(rho - rho.conj().T))) <= tol * scale
-    sym = (rho + rho.conj().T) / 2.0
+    hermitian, sym, trace = _hermitian_part(rho, tol)
     return DensityReport(
-        hermitian=herm,
-        trace_dev=abs(complex(rho[0, 0] + rho[1, 1]) - 1.0),
-        min_eigenvalue=min_eig2(sym),
+        hermitian=hermitian, trace_dev=abs(trace - 1.0), min_eigenvalue=min_eig2(sym)
     )
 
 
 def as_density(rho, tol: float = 1e-9) -> np.ndarray:
     """Validate and symmetrize a density matrix (Hermitian, unit trace)."""
-    rho = finite_matrix(rho)
-    report = validate_density(rho, tol)
-    if not report.hermitian:
+    hermitian, sym, trace = _hermitian_part(rho, tol)
+    if not hermitian:
         raise InputError("density matrix is not Hermitian")
-    if report.trace_dev > tol:
-        raise InputError(f"density matrix trace deviates by {report.trace_dev:.3e}")
-    sym = (rho + rho.conj().T) / 2.0
-    return sym / float(np.trace(sym).real)
+    trace_dev = abs(trace - 1.0)
+    if trace_dev > tol:
+        raise InputError(f"density matrix trace deviates by {trace_dev:.3e}")
+    return sym / trace.real
 
 
 def coords(rho: np.ndarray) -> np.ndarray:

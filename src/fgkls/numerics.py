@@ -49,7 +49,7 @@ def finite_matrix(m, shape=(2, 2)) -> np.ndarray:
     arr = np.array(m, dtype=complex)
     if arr.shape != shape:
         raise InputError(f"expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr.view(float)).all():
         raise InputError("non-finite matrix entries")
     return arr
 

@@ -30,7 +30,7 @@ from .model import (
     det2,
     direction_matrix,
     from_coords,
-    from_frame,
+    from_frame_hermitian,
     hermitian_span,
 )
 from .numerics import COINCIDENCE_RTOL
@@ -154,12 +154,10 @@ def _general_pointer(spec: SystemSpec) -> PointerResult:
 
 def _from_frame_pointer(result: PointerResult, basis: np.ndarray) -> PointerResult:
     """Map a canonical-frame result back to the caller's frame.  The diagonal
-    family is diagonal only in the canonical frame; elsewhere it is a line.
-    Mapped matrices are symmetrized, so they stay Hermitian past rounding."""
+    family is diagonal only in the canonical frame; elsewhere it is a line."""
 
     def back(m: np.ndarray) -> np.ndarray:
-        r = from_frame(m, basis)
-        return 0.5 * (r + r.conj().T)
+        return from_frame_hermitian(m, basis)
 
     if isinstance(result, UniquePointer):
         return replace(result, rho=back(result.rho))

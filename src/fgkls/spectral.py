@@ -40,6 +40,11 @@ from .numerics import cubic_roots, det3
 BRANCH_TOL = 1e-6
 # Ties in the double-vs-triple sign test resolve to the triple branch.
 TIE_TOL = 1e-12
+# (M - rate I) loses a rank for each singular value below
+# GEO_RTOL * max(1, largest singular value): the geometric multiplicity.
+GEO_RTOL = 1e-6
+# Residual allowed to eigenvectors and chain vectors, relative to max(1, ||M||).
+CHAIN_RTOL = 1e-8
 
 
 class SpectrumStructure(str, Enum):
@@ -247,9 +252,39 @@ def _symmetrize_real(v: np.ndarray) -> np.ndarray:
 
 def _chain_solve(b: np.ndarray, target: np.ndarray, mscale: float) -> np.ndarray:
     sol, *_ = np.linalg.lstsq(b, target, rcond=None)
-    if np.linalg.norm(b @ sol - target) > 1e-8 * max(1.0, mscale):
+    if np.linalg.norm(b @ sol - target) > CHAIN_RTOL * max(1.0, mscale):
         raise InternalError("generalized-eigenvector chain is inconsistent")
     return sol
+
+
+def _cross_null_vector(b: np.ndarray, mscale: float) -> np.ndarray | None:
+    """Unit null vector of the 3x3 matrix B from the largest cross product
+    of two of its rows (Kopp, arXiv:physics/0610206), or None unless B is
+    certainly of rank two and the vector passes the residual check.
+
+    With F = ||B|| and c the largest cross product, sigma_2 >= c / (sqrt(3) F),
+    so c > sqrt(3) GEO_RTOL F max(1, F) proves sigma_2 above the SVD's
+    rank tolerance GEO_RTOL max(1, sigma_1): the geometric multiplicity is 1
+    exactly when the SVD would find it so.  Scalar arithmetic on the nine
+    entries costs less than numpy's per-call overhead; squares that under-
+    or overflow fail the tests and fall back to the SVD.
+    """
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows = b.tolist()
+    crosses = (
+        (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0),
+        (a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0),
+        (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0),
+    )
+    n2s = [abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2 for x, y, z in crosses]
+    best_n2 = max(n2s)
+    f2 = float(np.vdot(b, b).real)
+    if not best_n2 > 3.0 * GEO_RTOL**2 * f2 * max(1.0, f2):
+        return None
+    x0, x1, x2 = best = crosses[n2s.index(best_n2)]
+    resid2 = sum(abs(r0 * x0 + r1 * x1 + r2 * x2) ** 2 for r0, r1, r2 in rows)
+    if not resid2 <= (CHAIN_RTOL * max(1.0, mscale)) ** 2 * best_n2:
+        return None
+    return np.array(best) / math.sqrt(best_n2)
 
 
 def _modes_for_root(
@@ -258,8 +293,15 @@ def _modes_for_root(
     """Jordan chains for one root: geometric multiplicity decides between
     simple modes and generalized chains."""
     b = m - rate * np.eye(3, dtype=complex)
+    v = _cross_null_vector(b, mscale)
+    if v is not None:
+        # Rank two: one eigenvector, heading a chain of length mult.
+        chain = [v]
+        while len(chain) < mult:
+            chain.append(_chain_solve(b, chain[-1], mscale))
+        return [(rate, chain)]
     u, sing, vh = np.linalg.svd(b)
-    tol = 1e-6 * max(1.0, float(sing[0]))
+    tol = GEO_RTOL * max(1.0, float(sing[0]))
     geo = int(np.sum(sing <= tol))
     geo = max(1, min(geo, mult))
     null = [vh[i].conj() for i in range(3 - geo, 3)]

@@ -5,41 +5,48 @@ A state qualifies when (i) L rho L^dag - (1/2){L^dag L, rho} = 0 and
 is linear: a four-index tensor acting on the flattened state, whose kernel
 (intersected with Hermitian unit-trace matrices) carries the candidates.
 The Hamiltonian never enters the tensor, and the coupling c factors out.
+The kernel of the two canonical shapes is known in closed form; a general
+form that ``canonicalize`` reduces is classified in its canonical frame and
+mapped back, so only NonCanonical input takes the numeric kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import LindbladForm, SystemSpec, hermitian_span, min_eig2
+from .model import (
+    Canonical,
+    DiagonalL,
+    JordanL,
+    LindbladForm,
+    SystemSpec,
+    from_frame_hermitian,
+    hermitian_span,
+    min_eig2,
+)
 
 COMMUTE_RTOL = 1e-10
+# The dissipator kills a direction when its singular value is below
+# KERNEL_RTOL * max(1, largest singular value).
+KERNEL_RTOL = 1e-10
+
+_FAMILY_CONSTANT = "family members reduce to constants under unitary evolution"
 
 
 def uniton_tensor(form: LindbladForm) -> np.ndarray:
-    """Four-index tensor a[m, n, k, l] of the dissipative-part-vanishes
-    condition, with the coupling factored out."""
+    """Four-index tensor a[m, n, k, j] of the dissipative-part-vanishes
+    condition, with the coupling factored out: the sum over the terms
+    L rho L^dag, -(1/2) L^dag L rho and -(1/2) rho L^dag L of
+    weight * A[m, k] * B[n, j]."""
     l = form.small_l()
     ldl = l.conj().T @ l
-    a = np.zeros((2, 2, 2, 2), dtype=complex)
-    for m in range(2):
-        for n in range(2):
-            for k in range(2):
-                for j in range(2):
-                    val = l[m, k] * np.conj(l[n, j])
-                    if j == n:
-                        val -= 0.5 * ldl[m, k]
-                    if k == m:
-                        val -= 0.5 * ldl[j, n]
-                    a[m, n, k, j] = val
-    return a
-
-
-def flatten_tensor(a: np.ndarray) -> np.ndarray:
-    """4x4 matrix acting on (f11, f12, f21, f22), row index (m, n)."""
-    return a.reshape(4, 4)
+    eye = np.eye(2)
+    weights = np.array([1.0, -0.5, -0.5])
+    left = np.stack([l, ldl, eye])
+    right = np.stack([l.conj(), eye, ldl.T])
+    return np.einsum("t,tmk,tnj->mnkj", weights, left, right)
 
 
 @dataclass(frozen=True)
@@ -74,14 +81,75 @@ UnitonVerdict = AllStates | StationaryPointerOnly | NoUnitons
 
 def classify_unitons(spec: SystemSpec) -> UnitonVerdict:
     """Full case analysis of the uniton conditions for one system."""
-    h = spec.hamiltonian.matrix
-    hscale = max(1.0, float(np.linalg.norm(h)))
     if spec.c == 0.0:
         return AllStates()
+    reduction = spec.reduction
+    if isinstance(reduction, Canonical):
+        return _from_frame_verdict(classify_unitons(reduction.system), reduction.basis)
+    form = spec.lindblad
+    if isinstance(form, DiagonalL):
+        # The dissipator of diag(lambda1, lambda2) kills the diagonal
+        # matrices and scales the coherences by mu and conj(mu).
+        lam1, lam2 = form.lambda1, form.lambda2
+        mu = lam1 * lam2.conjugate() - (abs(lam1) ** 2 + abs(lam2) ** 2) / 2
+        if abs(mu) <= KERNEL_RTOL * max(1.0, abs(mu)):
+            return AllStates()
+        return NoUnitons(
+            reason=_FAMILY_CONSTANT,
+            candidate=np.diag([1.0 + 0j, 0.0]),
+            family=(np.diag([-1.0 + 0j, 1.0]),),
+        )
+    if isinstance(form, JordanL):
+        # The kernel of lambda I + sigma_plus is one state, positive for
+        # every lambda.
+        lam = form.lam
+        n2 = abs(lam) ** 2
+        rho = np.array([[1.0 + n2, -lam.conjugate()], [-lam, n2]]) / (1.0 + 2.0 * n2)
+        return _single_candidate_verdict(spec.hamiltonian.matrix, rho)
+    return _numeric_verdict(spec)
 
-    t4 = flatten_tensor(uniton_tensor(spec.lindblad))
-    _, sing, vh = np.linalg.svd(t4)
-    tol = 1e-10 * max(1.0, float(sing[0]))
+
+def _from_frame_verdict(verdict: UnitonVerdict, basis: np.ndarray) -> UnitonVerdict:
+    """Map a canonical-frame verdict back to the caller's frame."""
+    if isinstance(verdict, StationaryPointerOnly):
+        return replace(verdict, rho=from_frame_hermitian(verdict.rho, basis))
+    if isinstance(verdict, NoUnitons) and verdict.candidate is not None:
+        return replace(
+            verdict,
+            candidate=from_frame_hermitian(verdict.candidate, basis),
+            family=tuple(from_frame_hermitian(d, basis) for d in verdict.family),
+        )
+    return verdict
+
+
+def _single_candidate_verdict(h: np.ndarray, base: np.ndarray) -> UnitonVerdict:
+    """Verdict for a one-dimensional kernel spanned by the unit-trace base."""
+    hscale = max(1.0, float(np.linalg.norm(h)))
+    commutator = h @ base - base @ h
+    if float(np.linalg.norm(commutator)) <= COMMUTE_RTOL * hscale:
+        if min_eig2((base + base.conj().T) / 2.0) >= -1e-12:
+            return StationaryPointerOnly(rho=base)
+        return NoUnitons(
+            reason="unique dissipation-free matrix is not positive",
+            candidate=base,
+        )
+    return NoUnitons(
+        reason="unique candidate does not commute with the Hamiltonian",
+        candidate=base,
+    )
+
+
+def _real_coords(m: np.ndarray) -> list[float]:
+    """Real coordinates (f11, Re f12, Im f12, f22) of a Hermitian matrix."""
+    return [m[0, 0].real, m[0, 1].real, m[0, 1].imag, m[1, 1].real]
+
+
+def _numeric_verdict(spec: SystemSpec) -> UnitonVerdict:
+    """The case analysis on the numeric kernel of the uniton tensor."""
+    h = spec.hamiltonian.matrix
+    hscale = max(1.0, float(np.linalg.norm(h)))
+    _, sing, vh = np.linalg.svd(uniton_tensor(spec.lindblad).reshape(4, 4))
+    tol = KERNEL_RTOL * max(1.0, float(sing[0]))
     nullvecs = [vh[i].conj() for i in range(4) if sing[i] <= tol]
     dim = len(nullvecs)
 
@@ -103,42 +171,22 @@ def classify_unitons(spec: SystemSpec) -> UnitonVerdict:
     ]
 
     if dim == 1:
-        commutator = h @ base - base @ h
-        if float(np.linalg.norm(commutator)) <= COMMUTE_RTOL * hscale:
-            if min_eig2((base + base.conj().T) / 2.0) >= -1e-12:
-                return StationaryPointerOnly(rho=base)
-            return NoUnitons(
-                reason="unique dissipation-free matrix is not positive",
-                candidate=base,
-            )
-        return NoUnitons(
-            reason="unique candidate does not commute with the Hamiltonian",
-            candidate=base,
-        )
+        return _single_candidate_verdict(h, base)
 
     # A family: unitary motion within it would need -i[H, d] proportional to
     # a direction, which the trace inner product forbids; members therefore
-    # reduce to constants (or a single stationary member).
+    # reduce to constants (or a single stationary member).  Each flow is a
+    # column of one least-squares problem against the directions.
     note = "unexpected three-parameter kernel in dimension 2; " if dim == 3 else ""
-    flows = [-1j * (h @ d - d @ h) for d in [base] + dirs]
-    span = np.array(
-        [[d[0, 0].real, d[0, 1].real, d[0, 1].imag, d[1, 1].real] for d in dirs]
-    )
-    moving = False
-    for f in flows:
-        row = np.array([f[0, 0].real, f[0, 1].real, f[0, 1].imag, f[1, 1].real])
-        coef, res, *_ = np.linalg.lstsq(span.T, row, rcond=None)
-        in_span = float(np.linalg.norm(span.T @ coef - row)) <= 1e-10 * hscale
-        if in_span and float(np.linalg.norm(coef)) > 1e-10 * hscale:
-            moving = True
+    span = np.array([_real_coords(d) for d in dirs]).T
+    flows = np.array([_real_coords(-1j * (h @ d - d @ h)) for d in [base] + dirs]).T
+    coef, *_ = np.linalg.lstsq(span, flows, rcond=None)
+    in_span = np.linalg.norm(span @ coef - flows, axis=0) <= 1e-10 * hscale
+    moving = bool(np.any(in_span & (np.linalg.norm(coef, axis=0) > 1e-10 * hscale)))
     if moving:
         return NoUnitons(
             reason=note + "family admits internal unitary motion (unexpected)",
             candidate=base,
             family=tuple(dirs),
         )
-    return NoUnitons(
-        reason=note + "family members reduce to constants under unitary evolution",
-        candidate=base,
-        family=tuple(dirs),
-    )
+    return NoUnitons(reason=note + _FAMILY_CONSTANT, candidate=base, family=tuple(dirs))

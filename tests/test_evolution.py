@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fgkls.errors import NotReducibleError
 from fgkls.evolution import (
+    _coords_at,
     positivity_window,
     reconstructed_mode_matrix,
     rho_at,
@@ -12,11 +14,13 @@ from fgkls.evolution import (
     solve_ivp,
     trajectory,
 )
-from fgkls.model import DiagonalL, Hamiltonian, JordanL, SystemSpec, det2
+from fgkls.model import DiagonalL, Hamiltonian, JordanL, SystemSpec, coords, det2
 from fgkls.oracle import det_scan
 from fgkls.pointer import UniquePointer, compute_pointer
 from fgkls.sampling import random_density, random_spec
 from fgkls.spectral import spectrum
+from fgkls.uniton import classify_unitons
+from test_acceptance import diagonal_double_root_spec, jordan_double_root_spec, jordan_triple_root_spec
 
 AMP_DAMP = SystemSpec(Hamiltonian.diagonal(0.3, 0.3), JordanL(0.0, 1.0))
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -255,3 +259,61 @@ class TestPositivityWindow:
             dets = [det2(r) for r in trajectory(sol, ts)]
             assert min(dets) >= -1e-10
         assert count >= 10
+
+
+def literal_coords(sol, ts):
+    """The closed form written out term by term: the pointer plus, for each
+    chain vector v_i of each mode, exp(rate t) sum_{j >= i} a_j t^(j-i) / (j-i)! v_i."""
+    out = [coords(sol.pointer_part) for _ in ts]
+    idx = 0
+    for mode in sol.modes.modes:
+        k = len(mode.vectors)
+        for i, v in enumerate(mode.vectors):
+            for j in range(i, k):
+                a = sol.amplitudes[idx + j] / math.factorial(j - i)
+                for n, t in enumerate(ts):
+                    out[n] = out[n] + a * cmath.exp(mode.rate * t) * t ** (j - i) * v
+        idx += k
+    return np.array(out)
+
+
+class TestCoordsAt:
+    def _solutions(self, rng):
+        sols = []
+        for form in ("diagonal", "jordan", "general"):
+            for _ in range(10):
+                spec = random_spec(rng, form, c_range=(0.3, 2.0))
+                sols.append(solve_ivp(spec, random_density(rng)))
+        for family in (jordan_double_root_spec, jordan_triple_root_spec, diagonal_double_root_spec):
+            for _ in range(5):
+                sols.append(solve_ivp(family(rng), random_density(rng)))
+        return sols
+
+    def test_matches_the_per_mode_sum(self, rng):
+        chains = 0
+        for sol in self._solutions(rng):
+            chains += any(len(m.vectors) > 1 for m in sol.modes.modes)
+            for ts in (np.linspace(0.0, 8.0 / sol.spec.c**2, 40), np.array([0.0]), np.array([1.7])):
+                got = _coords_at(sol, ts)
+                assert got.shape == (len(ts), 3)
+                assert np.max(np.abs(got - literal_coords(sol, ts))) < 1e-13
+        # Every coinciding-root solution carries a Jordan chain.
+        assert chains >= 15
+
+
+def test_generic_canonical_pipeline_needs_no_svd_or_lstsq(rng, monkeypatch):
+    cases = [
+        (random_spec(rng, form), random_density(rng))
+        for form in ("diagonal", "jordan")
+        for _ in range(50)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD or least squares on a generic canonical system")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for spec, rho0 in cases:
+        sol = solve_ivp(spec, rho0)
+        trajectory(sol, np.linspace(0.0, 5.0, 20))
+        classify_unitons(spec)

@@ -10,6 +10,8 @@ from fgkls.sampling import random_spec
 from fgkls.spectral import (
     SpectrumStructure,
     StabilityVerdict,
+    _cross_null_vector,
+    _modes_for_root,
     assert_stability,
     char_cubic,
     diagonal_coincident_roots,
@@ -254,3 +256,66 @@ class TestStability:
         md, svals = spectrum_svals(spec)
         assert assert_stability(md, spec) is StabilityVerdict.UNDAMPED
         assert sorted(svals, key=lambda z: z.imag) == pytest.approx([-1j, 0.0, 1j])
+
+
+def _triple_root_neighbour(eps):
+    """A Jordan system whose level gap is off the triple-root value by the
+    factor 1 + eps: three simple roots, nearly coinciding."""
+    h = Hamiltonian.diagonal(math.sqrt(1.0 / 108.0) * (1.0 + eps), 0.0)
+    return SystemSpec(h, JordanL((2.0 / math.sqrt(54.0)) * np.exp(0.7j), 1.0))
+
+
+class TestCrossProductEigenvectors:
+    @staticmethod
+    def check_simple_roots(spec):
+        m = build_generator(spec).matrix
+        mscale = float(np.linalg.norm(m))
+        for s, mult in cubic_roots(*char_cubic(spec)).roots:
+            assert mult == 1
+            b = m - s * spec.c**2 * np.eye(3)
+            v = _cross_null_vector(b, mscale)
+            assert v is not None
+            _, sing, vh = np.linalg.svd(b)
+            # The cross product's residual is at most sqrt(3) times the
+            # smallest singular value, the best any unit vector achieves.
+            assert np.linalg.norm(b @ v) <= 2.0 * sing[2] + 1e-14 * sing[0]
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-15
+            # The SVD null vector, up to a phase.
+            assert 1.0 - abs(np.vdot(vh[2].conj(), v)) < 1e-12
+
+    def test_generic_roots(self, rng):
+        for form in ("diagonal", "jordan", "general"):
+            for _ in range(30):
+                self.check_simple_roots(random_spec(rng, form=form, c_range=(0.3, 2.0)))
+
+    def test_roots_near_the_triple_root(self):
+        for eps in (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 4e-4):
+            spec = _triple_root_neighbour(eps)
+            p2, p1, p0 = (p.real for p in char_cubic(spec))
+            disc = 18 * p2 * p1 * p0 - 4 * p2**3 * p0 + p2**2 * p1**2 - 4 * p1**3 - 27 * p0**2
+            assert 1e-10 < abs(disc) < 1e-4
+            self.check_simple_roots(spec)
+
+    def test_rank_one_and_inaccurate_roots_fall_back_to_the_svd(self, monkeypatch):
+        # Pure dephasing with degenerate levels: both coherences decay at
+        # -|lambda1 - lambda2|^2 / 2, a diagonalizable double root, so
+        # M - rate I has rank one.
+        spec = SystemSpec(DEGENERATE_H, DiagonalL(1.0, 0.3, 1.0))
+        m = build_generator(spec).matrix
+        mscale = float(np.linalg.norm(m))
+        rate = -0.5 * 0.7**2
+        b = m - rate * np.eye(3)
+        assert _cross_null_vector(b, mscale) is None
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        chains = _modes_for_root(m, rate, 2, mscale)
+        assert calls
+        assert [len(chain) for _, chain in chains] == [1, 1]
+        for _, (v,) in chains:
+            assert np.linalg.norm(b @ v) < 1e-12
+        # A simple root off by 1e-5 leaves a residual the check rejects.
+        spec = _triple_root_neighbour(1e-1)
+        m = build_generator(spec).matrix
+        s, _ = cubic_roots(*char_cubic(spec)).roots[0]
+        assert _cross_null_vector(m - (s + 1e-5) * np.eye(3), float(np.linalg.norm(m))) is None

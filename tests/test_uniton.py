@@ -8,10 +8,11 @@ from fgkls.uniton import (
     AllStates,
     NoUnitons,
     StationaryPointerOnly,
+    _numeric_verdict,
     classify_unitons,
-    flatten_tensor,
     uniton_tensor,
 )
+from test_acceptance import haar_unitary, rotated_general
 
 H_DIAG = Hamiltonian.diagonal(1.0, 0.0)
 
@@ -24,7 +25,7 @@ def dissipator_norm(form, rho):
 
 
 def kernel_dim(form):
-    t4 = flatten_tensor(uniton_tensor(form))
+    t4 = uniton_tensor(form).reshape(4, 4)
     s = np.linalg.svd(t4, compute_uv=False)
     return int(np.sum(s <= 1e-10 * max(1.0, s[0])))
 
@@ -38,14 +39,14 @@ class TestUnitonTensor:
     def test_pure_raising_kernel_is_upper_population(self):
         form = JordanL(0.0, 1.0)
         assert kernel_dim(form) == 1
-        t4 = flatten_tensor(uniton_tensor(form))
+        t4 = uniton_tensor(form).reshape(4, 4)
         # diag(1, 0) flattens to (1, 0, 0, 0).
         assert np.linalg.norm(t4 @ np.array([1.0, 0.0, 0.0, 0.0])) < 1e-14
 
     def test_distinct_diagonal_kernel_is_diagonal_matrices(self):
         form = DiagonalL(1.0, 0.3j, 1.0)
         assert kernel_dim(form) == 2
-        t4 = flatten_tensor(uniton_tensor(form))
+        t4 = uniton_tensor(form).reshape(4, 4)
         for vec in ([1.0, 0, 0, 0], [0, 0, 0, 1.0]):
             assert np.linalg.norm(t4 @ np.array(vec)) < 1e-14
         # Coherences pick up the dephasing eigenvalue
@@ -60,7 +61,7 @@ class TestUnitonTensor:
             m = np.array([[random_complex(rng), random_complex(rng)],
                           [random_complex(rng), random_complex(rng)]])
             form = GeneralL(m, 1.0)
-            t4 = flatten_tensor(uniton_tensor(form))
+            t4 = uniton_tensor(form).reshape(4, 4)
             rho = random_density(rng)
             flat = np.array([rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1]])
             direct = t4 @ flat
@@ -178,3 +179,80 @@ class TestClassify:
         _, open_traj = integrate(open_spec, rho0, cfg)
         _, closed_traj = integrate(closed_spec, rho0, cfg)
         assert np.max(np.abs(open_traj - closed_traj)) < 1e-10
+
+
+def _along(x, d):
+    """Distance of the Hermitian matrix x from the real line through d."""
+    coef = np.vdot(d, x).real / np.vdot(d, d).real
+    return float(np.max(np.abs(x - coef * d)))
+
+
+def assert_same_verdict(got, want):
+    """Same verdict; a family is compared as the line it spans, whichever
+    member and sign represent it."""
+    assert type(got) is type(want)
+    assert got.label == want.label
+    if isinstance(want, StationaryPointerOnly):
+        assert np.max(np.abs(got.rho - want.rho)) < 1e-12
+    if isinstance(want, NoUnitons):
+        assert got.reason == want.reason
+        assert len(got.family) == len(want.family)
+        if want.family:
+            (d,) = got.family
+            assert _along(want.family[0], d) < 1e-12
+            assert _along(want.candidate - got.candidate, d) < 1e-12
+        elif want.candidate is not None:
+            assert np.max(np.abs(got.candidate - want.candidate)) < 1e-12
+
+
+def _jordan_kernel(lam):
+    n2 = abs(lam) ** 2
+    return np.array([[1.0 + n2, -np.conj(lam)], [-lam, n2]]) / (1.0 + 2.0 * n2)
+
+
+class TestClosedFormAgainstNumericKernel:
+    """The closed-form kernels of the canonical shapes, reached directly or
+    by canonicalizing a rotated general form, against the numeric kernel of
+    the uniton tensor."""
+
+    def _specs(self, rng):
+        specs = []
+        for _ in range(40):
+            h = random_hamiltonian(rng)
+            c = float(rng.uniform(0.2, 2.0))
+            lam = random_complex(rng, 1.5)
+            specs.append(SystemSpec(h, DiagonalL(random_complex(rng, 1.5), lam, c)))
+            specs.append(SystemSpec(h, DiagonalL(lam, lam, c)))
+            specs.append(SystemSpec(h, JordanL(lam, c)))
+            # H commuting with the Jordan kernel: a stationary uniton.
+            rho = _jordan_kernel(lam)
+            h_comm = Hamiltonian(float(rng.uniform(-2, 2)) * rho + float(rng.uniform(-1, 1)) * np.eye(2))
+            specs.append(SystemSpec(h_comm, JordanL(lam, c)))
+        return specs
+
+    def test_canonical_shapes(self, rng):
+        labels = set()
+        for spec in self._specs(rng):
+            verdict = classify_unitons(spec)
+            assert_same_verdict(verdict, _numeric_verdict(spec))
+            labels.add(verdict.label)
+        assert labels == {"AllStates", "StationaryPointerOnly", "None"}
+
+    def test_rotated_into_general_form(self, rng):
+        for spec in self._specs(rng):
+            u = haar_unitary(rng)
+            rot = rotated_general(spec, u)
+            verdict = classify_unitons(rot)
+            assert_same_verdict(verdict, _numeric_verdict(rot))
+            if isinstance(verdict, StationaryPointerOnly):
+                want = u @ classify_unitons(spec).rho @ u.conj().T
+                assert np.max(np.abs(verdict.rho - want)) < 1e-12
+                assert np.array_equal(verdict.rho, verdict.rho.conj().T)
+
+    def test_dissipator_threshold(self):
+        # |mu| = |lambda1 conj(lambda2) - (|lambda1|^2 + |lambda2|^2) / 2| is
+        # about delta here; the dissipator vanishes for |mu| <= 1e-10.
+        for delta, kind in ((0.5e-10, AllStates), (2e-10, NoUnitons)):
+            spec = SystemSpec(H_DIAG, DiagonalL(1.0, 1.0 + 1j * delta, 1.0))
+            assert isinstance(classify_unitons(spec), kind)
+            assert isinstance(_numeric_verdict(spec), kind)

@@ -37,7 +37,7 @@ from .model import (
 )
 from .numerics import CubicRoots, RootPattern, cubic_roots, schur2, solve3
 from .oracle import IntegratorConfig, det_scan, integrate, pointer_numeric
-from .perturb import OrderEstimate, PointerSeries, RateSeries, order_estimate, pointer_series, weak_rates
+from .perturb import OrderEstimate, RateSeries, order_estimate, pointer_series, weak_rates
 from .pointer import (
     DiagonalFamily,
     FullFamily,

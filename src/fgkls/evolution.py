@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, NotReducibleError
-from .model import as_density, coords, det2, direction_matrix, from_coords
+from .model import SystemSpec, as_density, det2, direction_matrix, from_coords
+from .numerics import scalar_norm, solve_pivoted3
 from .pointer import compute_pointer, representative
 from .spectral import ModeDecomposition, spectrum
-from .model import SystemSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,46 +50,60 @@ def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
     pointer_part = representative(ptr)
     md = spectrum(spec)
 
-    cols = [v for mode in md.modes for v in mode.vectors]
-    fit = np.column_stack(cols)
-    dev = coords(rho0) - coords(pointer_part)
-    try:
-        amps = np.linalg.solve(fit, dev)
-    except np.linalg.LinAlgError as exc:
-        raise InternalError("mode vectors do not span the deviation") from exc
-    if not np.all(np.isfinite(amps.view(float))):
+    fit = list(zip(*(v.tolist() for mode in md.modes for v in mode.vectors)))
+    (r00, r01), (r10, _) = rho0.tolist()
+    (p00, p01), (p10, _) = pointer_part.tolist()
+    dev = [r00 - p00, r01 - p01, r10 - p10]
+    amps = solve_pivoted3(fit, dev)
+    if amps is None:
+        raise InternalError("mode vectors do not span the deviation")
+    if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps):
         raise InternalError("amplitude fit produced non-finite values")
-    resid = float(np.linalg.norm(fit @ amps - dev))
-    if resid > 1e-9 * max(1.0, float(np.linalg.norm(dev))):
+    resid = scalar_norm([sum(f * a for f, a in zip(row, amps)) - d for row, d in zip(fit, dev)])
+    if resid > 1e-9 * max(1.0, scalar_norm(dev)):
         raise InternalError(f"amplitude fit residual {resid:.3e}")
     return AnalyticSolution(
-        spec=spec, pointer_part=pointer_part, modes=md, amplitudes=amps
+        spec=spec, pointer_part=pointer_part, modes=md, amplitudes=np.array(amps)
     )
 
 
 def _coords_at(sol: AnalyticSolution, ts: np.ndarray) -> np.ndarray:
     """Coordinates (f11, f12, f21) on a time grid, shape (len(ts), 3): the
-    pointer plus W @ vectors, with one column of W per chain vector i,
-    W[:, i] = exp(rate t) * sum_p poly[p, i] t^p."""
+    pointer plus sum_p t^p E (coef[p] * V), by Horner in t, with
+    E[:, i] = exp(rate t) and coef[p][i] = a_(i+p) / p! down the chain of
+    vector i.  One exponential per distinct rate: a real one for a real
+    rate; for a conjugate pair, one complex one and its conjugate."""
     amps = sol.amplitudes.tolist()
-    rates = []
-    # poly[p][i] = a_(i+p) / p!, down the chain that vector i belongs to.
-    poly = [[0j] * 3 for _ in range(max(len(mode.vectors) for mode in sol.modes.modes))]
-    for mode in sol.modes.modes:
-        k, col = len(mode.vectors), len(rates)
-        rates += [mode.rate] * k
+    modes = sol.modes.modes
+    vectors = [v.tolist() for mode in modes for v in mode.vectors]
+    # terms[p][i] = coef[p][i] * v_i, computed on Python scalars.
+    terms = [[[0j] * 3] * 3 for _ in range(max(len(mode.vectors) for mode in modes))]
+    exps = np.empty((len(ts), 3), dtype=complex)
+    seen: dict[complex, np.ndarray] = {}
+    col = 0
+    for mode in modes:
+        k, rate = len(mode.vectors), mode.rate
         for i in range(col, col + k):
             for p in range(col + k - i):
-                poly[p][i] = amps[i + p] / math.factorial(p)
-    vectors = np.array([v for mode in sol.modes.modes for v in mode.vectors])
-    t = ts[:, None]
-    rows = np.array(poly)
-    weights = rows[-1]
-    for row in rows[-2::-1]:
-        weights = row + t * weights
+                a = amps[i + p] / math.factorial(p)
+                terms[p][i] = [a * x for x in vectors[i]]
+        if rate.imag == 0.0:
+            e = np.exp(rate.real * ts)
+        elif rate.conjugate() in seen:
+            e = seen[rate.conjugate()].conj()
+        else:
+            e = np.exp(rate * ts)
+        seen[rate] = e
+        exps[:, col : col + k] = e[:, None]
+        col += k
+    terms = np.array(terms)
     # |exp(rate t)| <= 1 for this flow.
-    weights = np.exp(np.array(rates) * t) * weights
-    return coords(sol.pointer_part) + weights.dot(vectors)
+    out = exps.dot(terms[-1])
+    for p in range(len(terms) - 2, -1, -1):
+        out = exps.dot(terms[p]) + ts[:, None] * out
+    # (f11, f12, f21) are the first three entries of the row-major pointer.
+    out += sol.pointer_part.ravel()[:3]
+    return out
 
 
 def rho_at(sol: AnalyticSolution, t: float) -> np.ndarray:

@@ -54,38 +54,43 @@ class AffineGenerator:
 
 
 def coefficients(spec: SystemSpec) -> RateCoefficients:
-    """Rate coefficients from the Hamiltonian entries and L = c * l."""
-    eps = spec.hamiltonian.matrix
-    l = spec.lindblad.small_l()
+    """Rate coefficients from the Hamiltonian entries and L = c * l, on
+    Python scalars: numpy's per-call overhead would cost more than the
+    arithmetic on eight entries."""
+    (e11, e12), (e21, e22) = spec.hamiltonian.matrix.tolist()
+    (l11, l12), (l21, l22) = spec.lindblad.small_l().tolist()
     c2 = spec.c * spec.c
-    l11, l12, l21, l22 = l[0, 0], l[0, 1], l[1, 0], l[1, 1]
-    deps = eps[0, 0] - eps[1, 1]
     return RateCoefficients(
         d11_11=-c2 * abs(l21) ** 2,
         d11_22=c2 * abs(l12) ** 2,
-        d11_12=1j * eps[1, 0] + 0.5 * c2 * (l11 * np.conj(l12) - np.conj(l22) * l21),
-        d12_11=1j * eps[0, 1]
-        + c2 * (l11 * np.conj(l21) - 0.5 * np.conj(l11) * l12 - 0.5 * np.conj(l21) * l22),
-        d12_22=-1j * eps[0, 1]
-        + c2 * (np.conj(l22) * l12 - 0.5 * np.conj(l11) * l12 - 0.5 * np.conj(l21) * l22),
-        d12_12=-1j * deps
+        d11_12=1j * e21 + 0.5 * c2 * (l11 * l12.conjugate() - l22.conjugate() * l21),
+        d12_11=1j * e12
+        + c2 * (l11 * l21.conjugate() - 0.5 * l11.conjugate() * l12 - 0.5 * l21.conjugate() * l22),
+        d12_22=-1j * e12
+        + c2 * (l22.conjugate() * l12 - 0.5 * l11.conjugate() * l12 - 0.5 * l21.conjugate() * l22),
+        d12_12=-1j * (e11 - e22)
         + c2
         * (
-            l11 * np.conj(l22)
+            l11 * l22.conjugate()
             - 0.5 * (abs(l11) ** 2 + abs(l22) ** 2 + abs(l12) ** 2 + abs(l21) ** 2)
         ),
-        d12_21=c2 * l12 * np.conj(l21),
+        d12_21=c2 * l12 * l21.conjugate(),
     )
 
 
 def build_generator(spec: SystemSpec) -> AffineGenerator:
     """Affine generator on (f11, f12, f21) after eliminating f22 = 1 - f11."""
     k = coefficients(spec)
-    row1 = [k.d11_11 - k.d11_22, k.d11_12, np.conj(k.d11_12)]
-    row2 = [k.d12_11 - k.d12_22, k.d12_12, k.d12_21]
-    row3 = [np.conj(row2[0]), np.conj(k.d12_21), np.conj(k.d12_12)]
-    m = np.array([row1, row2, row3], dtype=complex)
-    b = np.array([k.d11_22, k.d12_22, np.conj(k.d12_22)], dtype=complex)
+    m10 = k.d12_11 - k.d12_22
+    m = np.array(
+        [
+            [k.d11_11 - k.d11_22, k.d11_12, k.d11_12.conjugate()],
+            [m10, k.d12_12, k.d12_21],
+            [m10.conjugate(), k.d12_21.conjugate(), k.d12_12.conjugate()],
+        ],
+        dtype=complex,
+    )
+    b = np.array([k.d11_22, k.d12_22, k.d12_22.conjugate()], dtype=complex)
     return AffineGenerator(matrix=m, inhom=b)
 
 

@@ -321,12 +321,11 @@ def from_coords(x: np.ndarray) -> np.ndarray:
     """Unit-trace matrix from coordinates, f22 = 1 - f11; a stack of
     coordinates (..., 3) gives a stack of matrices (..., 2, 2)."""
     x = np.asarray(x, dtype=complex)
-    out = np.empty(x.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = x[..., 0]
-    out[..., 0, 1] = x[..., 1]
-    out[..., 1, 0] = x[..., 2]
-    out[..., 1, 1] = 1.0 - x[..., 0]
-    return out
+    # Row-major (f11, f12, f21, f22) is the coordinates followed by f22.
+    out = np.empty(x.shape[:-1] + (4,), dtype=complex)
+    out[..., :3] = x
+    np.subtract(1.0, x[..., 0], out=out[..., 3])
+    return out.reshape(x.shape[:-1] + (2, 2))
 
 
 def direction_matrix(x: np.ndarray) -> np.ndarray:

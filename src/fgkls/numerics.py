@@ -206,6 +206,16 @@ def cubic_roots(p2: complex, p1: complex, p0: complex) -> CubicRoots:
                 polished.append(s)
                 polished.append(s.conjugate())
                 seen_pair = True
+        if seen_pair:
+            # A dominant pair z, z* leaves r and Re z with an error of about
+            # eps |z|; the identities r |z|^2 = -p0 and r + 2 Re z = -p2 give
+            # both to full relative precision.
+            r, z = polished[0].real, polished[1]
+            mag = abs(z)
+            if mag > abs(r):
+                r = -(rp0 / mag) / mag
+                re = (-rp2 - r) / 2.0
+                polished = [complex(r), complex(re, z.imag), complex(re, -z.imag)]
         roots = polished
         p2u, p1u, p0u = complex(rp2), complex(rp1), complex(rp0)
     else:
@@ -215,7 +225,7 @@ def cubic_roots(p2: complex, p1: complex, p0: complex) -> CubicRoots:
     # Critical-point refinement of the closest pair, if it is nearly double.
     pairs = [(0, 1), (0, 2), (1, 2)]
     dists = [abs(roots[a] - roots[b]) for a, b in pairs]
-    kmin = int(np.argmin(dists))
+    kmin = min(range(3), key=dists.__getitem__)
     ia, ib = pairs[kmin]
     pair_scale = max(1.0, abs(roots[ia]), abs(roots[ib]))
     if 0.0 < dists[kmin] <= _REFINE_BAND * pair_scale:
@@ -303,6 +313,11 @@ class Inconsistent:
 Solve3Result = UniqueSolution | SolutionFamily | Inconsistent
 
 
+def scalar_norm(values) -> float:
+    """Euclidean norm of a short sequence of Python complex scalars."""
+    return math.hypot(*map(abs, values))
+
+
 def det3(m: np.ndarray) -> complex:
     """Explicit 3x3 determinant."""
     return (
@@ -310,6 +325,35 @@ def det3(m: np.ndarray) -> complex:
         - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
         + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
     )
+
+
+def solve_pivoted3(a, b) -> list[complex] | None:
+    """x with a x = b for a 3x3 matrix a given as three rows, by Gaussian
+    elimination with partial pivoting on Python scalars (cheaper than
+    numpy's per-call overhead); None when a pivot is exactly zero."""
+    r0, r1, r2 = ([*row, rhs] for row, rhs in zip(a, b))
+    if abs(r1[0]) > abs(r0[0]):
+        r0, r1 = r1, r0
+    if abs(r2[0]) > abs(r0[0]):
+        r0, r2 = r2, r0
+    p0 = r0[0]
+    if p0 == 0:
+        return None
+    f1, f2 = r1[0] / p0, r2[0] / p0
+    r1 = [r1[j] - f1 * r0[j] for j in (1, 2, 3)]
+    r2 = [r2[j] - f2 * r0[j] for j in (1, 2, 3)]
+    if abs(r2[0]) > abs(r1[0]):
+        r1, r2 = r2, r1
+    p1 = r1[0]
+    if p1 == 0:
+        return None
+    f = r2[0] / p1
+    p2 = r2[1] - f * r1[1]
+    if p2 == 0:
+        return None
+    x2 = (r2[2] - f * r1[2]) / p2
+    x1 = (r1[2] - r1[1] * x2) / p1
+    return [(r0[3] - r0[1] * x1 - r0[2] * x2) / p0, x1, x2]
 
 
 def solve3(m, b) -> Solve3Result:
@@ -329,8 +373,11 @@ def solve3(m, b) -> Solve3Result:
     scale, unit = unit_scaled(m)
     unit_norm = float(np.linalg.norm(unit))
     nullvecs = None
+    x = None
     if abs(det3(unit)) > RANK_RTOL * unit_norm**3:
-        x = np.linalg.solve(unit, b)
+        x = solve_pivoted3(unit.tolist(), b.tolist())
+    if x is not None:
+        x = np.array(x)
     else:
         u, sing, vh = np.linalg.svd(unit)
         rank = int(np.sum(sing > RANK_RTOL * float(sing[0])))

@@ -19,7 +19,7 @@ from .model import DiagonalL, JordanL, SystemSpec
 __all__ = [
     "RateSeries",
     "weak_rates",
-    "PointerSeries",
+    "POINTER_SERIES_ORDERS",
     "pointer_series",
     "OrderEstimate",
     "order_estimate",
@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 SMALL_C_GRID = (0.2, 0.1, 0.05)
+# Truncation orders of ``pointer_series``: the highest power of c kept.
+POINTER_SERIES_ORDERS = (2, 4, 6, 8)
 SATURATION_FLOOR = 1e-13
 
 
@@ -77,49 +79,34 @@ def weak_rates(spec: SystemSpec) -> RateSeries:
     raise ContractError("weak-coupling series is defined for canonical shapes only")
 
 
-class PointerSeries:
-    """Stationary state of the Jordan shape as a truncated series in c.
-
-    Truncation ``order`` is the highest power of c kept (2, 4, 6 or 8);
-    f11 + f22 = 1 holds identically at every order and f21 = conj(f12).
-    """
-
-    ORDERS = (2, 4, 6, 8)
-
-    def __init__(self, lam: complex, delta_eps: float, order: int):
-        if order not in self.ORDERS:
-            raise ContractError(f"order must be one of {self.ORDERS}")
-        if delta_eps == 0.0 or not math.isfinite(delta_eps):
-            raise ContractError("series needs a nonzero finite level gap")
-        self.lam = complex(lam)
-        self.delta_eps = float(delta_eps)
-        self.order = order
-
-    def evaluate(self, c: float) -> np.ndarray:
-        lam, gap, order = self.lam, self.delta_eps, self.order
-        mag2 = abs(lam) ** 2
-        aux = 0.5 * mag2 + 0.25
-        c2 = c * c
-        f11 = 1.0 + 0j
-        if order >= 4:
-            f11 -= c2**2 * mag2 / (4.0 * gap**2)
-        if order >= 8:
-            f11 += c2**4 * mag2 * aux / (4.0 * gap**4)
-        f12 = 0.0 + 0j
-        if order >= 2:
-            f12 += 0.5j * np.conj(lam) * c2 / gap
-        if order >= 4:
-            f12 -= 0.25 * np.conj(lam) * c2**2 / gap**2
-        if order >= 6:
-            f12 -= 0.5j * np.conj(lam) * aux * c2**3 / gap**3
-        if order >= 8:
-            f12 += 0.25 * np.conj(lam) * aux * c2**4 / gap**4
-        return np.array([[f11, f12], [np.conj(f12), 1.0 - f11]], dtype=complex)
-
-
 def pointer_series(lam: complex, delta_eps: float, c: float, order: int) -> np.ndarray:
-    """Truncated stationary state of the Jordan shape, evaluated at c."""
-    return PointerSeries(lam, delta_eps, order).evaluate(c)
+    """Stationary state of the Jordan shape as a series in c truncated at
+    ``order``, the highest power of c kept (one of POINTER_SERIES_ORDERS),
+    evaluated at c.  f11 + f22 = 1 holds identically at every order and
+    f21 = conj(f12)."""
+    if order not in POINTER_SERIES_ORDERS:
+        raise ContractError(f"order must be one of {POINTER_SERIES_ORDERS}")
+    if delta_eps == 0.0 or not math.isfinite(delta_eps):
+        raise ContractError("series needs a nonzero finite level gap")
+    lam, gap = complex(lam), float(delta_eps)
+    mag2 = abs(lam) ** 2
+    aux = 0.5 * mag2 + 0.25
+    c2 = c * c
+    f11 = 1.0 + 0j
+    if order >= 4:
+        f11 -= c2**2 * mag2 / (4.0 * gap**2)
+    if order >= 8:
+        f11 += c2**4 * mag2 * aux / (4.0 * gap**4)
+    f12 = 0.0 + 0j
+    if order >= 2:
+        f12 += 0.5j * np.conj(lam) * c2 / gap
+    if order >= 4:
+        f12 -= 0.25 * np.conj(lam) * c2**2 / gap**2
+    if order >= 6:
+        f12 -= 0.5j * np.conj(lam) * aux * c2**3 / gap**3
+    if order >= 8:
+        f12 += 0.25 * np.conj(lam) * aux * c2**4 / gap**4
+    return np.array([[f11, f12], [np.conj(f12), 1.0 - f11]], dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ is attracting, reported as ``NoAttractor``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -192,20 +193,23 @@ def compute_pointer(spec: SystemSpec) -> PointerResult:
         return _from_frame_pointer(compute_pointer(reduction.system), reduction.basis)
 
     form = spec.lindblad
-    hscale = float(np.linalg.norm(h))
+    # The canonical branches run on Python scalars: numpy's per-call
+    # overhead would cost more than the arithmetic on four entries.
+    (h00, h01), (h10, h11) = h.tolist()
+    hscale = math.hypot(h00.real, h11.real, h01.real, h01.imag, h10.real, h10.imag)
+    gap = h00.real - h11.real
 
     if isinstance(form, DiagonalL):
         lam1, lam2 = form.lambda1, form.lambda2
-        eps21 = h[1, 0]
         lam_equal = _is_negligible(lam1 - lam2, abs(lam1), abs(lam2))
-        eps21_zero = _is_negligible(eps21, hscale)
+        eps21_zero = _is_negligible(h10, hscale)
         if not eps21_zero and not lam_equal:
             return UniquePointer(_IDENTITY_HALF.copy(), label="maximally mixed")
         if eps21_zero:
             c2 = c * c
             bval = (
-                -1j * spec.hamiltonian.gap / c2
-                + lam1 * np.conj(lam2)
+                -1j * gap / c2
+                + lam1 * lam2.conjugate()
                 - 0.5 * (abs(lam1) ** 2 + abs(lam2) ** 2)
             )
             if _is_negligible(bval, hscale / c2, abs(lam1) ** 2, abs(lam2) ** 2):
@@ -214,28 +218,26 @@ def compute_pointer(spec: SystemSpec) -> PointerResult:
         # lambda1 == lambda2 with eps21 != 0: L is scalar, the dissipator
         # vanishes, and the states commuting with H form a line along the
         # traceless part of H.
-        direction = h - 0.5 * np.trace(h) * np.eye(2)
+        half_gap = 0.5 * gap
+        norm = math.hypot(half_gap, half_gap, abs(h01), abs(h10))
         return LineFamily(
-            base=_IDENTITY_HALF.copy(), direction=direction / np.linalg.norm(direction)
+            base=_IDENTITY_HALF.copy(),
+            direction=np.array([[half_gap / norm, h01 / norm], [h10 / norm, -half_gap / norm]]),
         )
 
     if isinstance(form, JordanL):
         c2 = c * c
-        a = 1j * h[1, 0] / c2 + 0.5 * form.lam
-        b = -0.5 - 1j * spec.hamiltonian.gap / c2
-        denom = 2.0 * abs(a) ** 2 + abs(b) ** 2
-        rho = (
-            np.array(
-                [
-                    [abs(a) ** 2 + abs(b) ** 2, np.conj(a) * np.conj(b)],
-                    [a * b, abs(a) ** 2],
-                ],
-                dtype=complex,
-            )
-            / denom
+        a = 1j * h10 / c2 + 0.5 * form.lam
+        b = -0.5 - 1j * gap / c2
+        a2 = abs(a) ** 2
+        b2 = abs(b) ** 2
+        inv = 1.0 / (2.0 * a2 + b2)
+        rho = np.array(
+            [[(a2 + b2) * inv, a.conjugate() * b.conjugate() * inv], [a * b * inv, a2 * inv]],
+            dtype=complex,
         )
         label = "Jordan unique"
-        if _is_negligible(h[0, 1], hscale) and _is_negligible(spec.hamiltonian.gap, hscale):
+        if _is_negligible(h01, hscale) and _is_negligible(gap, hscale):
             label = "degenerate-H Jordan"
         return UniquePointer(rho, label=label)
 

@@ -33,7 +33,7 @@ from .model import (
     from_frame,
     hermitian_span,
 )
-from .numerics import cubic_roots, det3
+from .numerics import cubic_roots, det3, scalar_norm
 
 # Branch conditions are exact equalities; they are accepted when satisfied
 # to this absolute defect on O(1)-normalized data.
@@ -103,11 +103,21 @@ class ModeDecomposition:
 
 def _jordan_invariants(spec: SystemSpec) -> tuple[float, float]:
     """(squared scaled level gap, squared coupling) for the Jordan shape."""
-    h = spec.hamiltonian.matrix
+    h10 = spec.hamiltonian.matrix.tolist()[1][0]
     c2 = spec.c * spec.c
     gap_sq = (spec.hamiltonian.gap / c2) ** 2
-    coupling_sq = abs(0.5 * spec.lindblad.lam + 1j * h[1, 0] / c2) ** 2
+    coupling_sq = abs(0.5 * spec.lindblad.lam + 1j * h10 / c2) ** 2
     return gap_sq, coupling_sq
+
+
+def _diagonal_invariants(spec: SystemSpec) -> tuple[float, float, float]:
+    """(|lambda1 - lambda2|^2, |e12|^2, effective detuning) for the diagonal
+    shape, with e12 = eps_12 / c^2."""
+    h01 = spec.hamiltonian.matrix.tolist()[0][1]
+    c2 = spec.c * spec.c
+    lam1, lam2 = spec.lindblad.lambda1, spec.lindblad.lambda2
+    detune = spec.hamiltonian.gap / c2 - (lam1 * lam2.conjugate()).imag
+    return abs(lam1 - lam2) ** 2, abs(h01 / c2) ** 2, detune
 
 
 def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
@@ -128,16 +138,9 @@ def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
         p2, p1, p0 = char_cubic(reduction.system)
         return (p2 * k, p1 * k * k, p0 * k**3)
     if c > 0 and isinstance(spec.lindblad, DiagonalL):
-        h = spec.hamiltonian.matrix
-        c2 = c * c
-        lam1, lam2 = spec.lindblad.lambda1, spec.lindblad.lambda2
-        musq = abs(lam1 - lam2) ** 2
-        e12 = h[0, 1] / c2
-        detune = spec.hamiltonian.gap / c2 - (lam1 * np.conj(lam2)).imag
-        p2 = musq
-        p1 = 4.0 * abs(e12) ** 2 + detune * detune + 0.25 * musq * musq
-        p0 = 2.0 * abs(e12) ** 2 * musq
-        return (complex(p2), complex(p1), complex(p0))
+        musq, e12_sq, detune = _diagonal_invariants(spec)
+        p1 = 4.0 * e12_sq + detune * detune + 0.25 * musq * musq
+        return (complex(musq), complex(p1), complex(2.0 * e12_sq * musq))
     if c > 0 and isinstance(spec.lindblad, JordanL):
         gap_sq, coupling_sq = _jordan_invariants(spec)
         return (
@@ -217,12 +220,7 @@ def _closed_form_roots(spec: SystemSpec) -> list[tuple[complex, int]] | None:
         gap_sq, coupling_sq = _jordan_invariants(spec)
         out = jordan_coincident_roots(gap_sq, coupling_sq)
     elif isinstance(spec.lindblad, DiagonalL):
-        h = spec.hamiltonian.matrix
-        c2 = spec.c * spec.c
-        lam1, lam2 = spec.lindblad.lambda1, spec.lindblad.lambda2
-        musq = abs(lam1 - lam2) ** 2
-        e12_sq = abs(h[0, 1] / c2) ** 2
-        detune = spec.hamiltonian.gap / c2 - (lam1 * np.conj(lam2)).imag
+        musq, e12_sq, detune = _diagonal_invariants(spec)
         out = diagonal_coincident_roots(musq, e12_sq, detune * detune)
     else:
         return None
@@ -231,36 +229,39 @@ def _closed_form_roots(spec: SystemSpec) -> list[tuple[complex, int]] | None:
     return [(complex(s), mult) for s, mult in out]
 
 
-def _symmetrize_real(v: np.ndarray) -> np.ndarray:
-    """Project a vector onto the Hermitian slice (f11 real, f21 = conj f12)."""
-    mirror = dagger_coords(v)
-    w = 0.5 * (v + mirror)
-    if np.linalg.norm(w) < 0.5 * np.linalg.norm(v):
-        w = 0.5j * (v - mirror)
-    n = np.linalg.norm(w)
+def _symmetrize_real(v) -> list[complex]:
+    """Project three coordinates onto the Hermitian slice (f11 real,
+    f21 = conj f12) and normalize, on Python scalars."""
+    x0, x1, x2 = v
+    m0, m1, m2 = x0.conjugate(), x2.conjugate(), x1.conjugate()
+    w = [0.5 * (x0 + m0), 0.5 * (x1 + m1), 0.5 * (x2 + m2)]
+    if scalar_norm(w) < 0.5 * scalar_norm(v):
+        w = [0.5j * (x0 - m0), 0.5j * (x1 - m1), 0.5j * (x2 - m2)]
+    n = scalar_norm(w)
     if n == 0.0:
         raise InternalError("mode vector collapsed under symmetrization")
-    w = w / n
+    w = [z / n for z in w]
     # Fix the residual sign freedom for reproducibility.
     for comp in (w[0].real, w[1].real, w[1].imag):
         if abs(comp) > 1e-12:
             if comp < 0:
-                w = -w
+                w = [-z for z in w]
             break
     return w
 
 
-def _chain_solve(b: np.ndarray, target: np.ndarray, mscale: float) -> np.ndarray:
+def _chain_solve(b: np.ndarray, target, mscale: float) -> np.ndarray:
     sol, *_ = np.linalg.lstsq(b, target, rcond=None)
     if np.linalg.norm(b @ sol - target) > CHAIN_RTOL * max(1.0, mscale):
         raise InternalError("generalized-eigenvector chain is inconsistent")
     return sol
 
 
-def _cross_null_vector(b: np.ndarray, mscale: float) -> np.ndarray | None:
-    """Unit null vector of the 3x3 matrix B from the largest cross product
-    of two of its rows (Kopp, arXiv:physics/0610206), or None unless B is
-    certainly of rank two and the vector passes the residual check.
+def _cross_null_vector(b: list[list[complex]], mscale: float) -> list[complex] | None:
+    """Unit null vector of the 3x3 matrix B, given as three rows, from the
+    largest cross product of two of its rows (Kopp, arXiv:physics/0610206),
+    or None unless B is certainly of rank two and the vector passes the
+    residual check.
 
     With F = ||B|| and c the largest cross product, sigma_2 >= c / (sqrt(3) F),
     so c > sqrt(3) GEO_RTOL F max(1, F) proves sigma_2 above the SVD's
@@ -269,7 +270,7 @@ def _cross_null_vector(b: np.ndarray, mscale: float) -> np.ndarray | None:
     entries costs less than numpy's per-call overhead; squares that under-
     or overflow fail the tests and fall back to the SVD.
     """
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows = b.tolist()
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = b
     crosses = (
         (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0),
         (a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0),
@@ -277,57 +278,55 @@ def _cross_null_vector(b: np.ndarray, mscale: float) -> np.ndarray | None:
     )
     n2s = [abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2 for x, y, z in crosses]
     best_n2 = max(n2s)
-    f2 = float(np.vdot(b, b).real)
+    f2 = scalar_norm((a0, a1, a2, b0, b1, b2, c0, c1, c2)) ** 2
     if not best_n2 > 3.0 * GEO_RTOL**2 * f2 * max(1.0, f2):
         return None
     x0, x1, x2 = best = crosses[n2s.index(best_n2)]
-    resid2 = sum(abs(r0 * x0 + r1 * x1 + r2 * x2) ** 2 for r0, r1, r2 in rows)
+    resid2 = sum(abs(r0 * x0 + r1 * x1 + r2 * x2) ** 2 for r0, r1, r2 in b)
     if not resid2 <= (CHAIN_RTOL * max(1.0, mscale)) ** 2 * best_n2:
         return None
-    return np.array(best) / math.sqrt(best_n2)
+    n = math.sqrt(best_n2)
+    return [z / n for z in best]
+
+
+def _minus_rate(m: list[list[complex]], rate: complex) -> list[list[complex]]:
+    """Rows of M - rate I from the rows of M."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    return [[m00 - rate, m01, m02], [m10, m11 - rate, m12], [m20, m21, m22 - rate]]
 
 
 def _modes_for_root(
-    m: np.ndarray, rate: complex, mult: int, mscale: float
-) -> list[tuple[complex, list[np.ndarray]]]:
-    """Jordan chains for one root: geometric multiplicity decides between
-    simple modes and generalized chains."""
-    b = m - rate * np.eye(3, dtype=complex)
+    b: list[list[complex]], mult: int, mscale: float
+) -> list[tuple[list[complex], int]]:
+    """Jordan chains of one root, as (head, chain length) pairs, from the
+    rows of B = M - rate I: the geometric multiplicity decides between
+    simple modes and generalized chains.  ``spectrum`` solves each chain's
+    links from its symmetrized head."""
     v = _cross_null_vector(b, mscale)
     if v is not None:
         # Rank two: one eigenvector, heading a chain of length mult.
-        chain = [v]
-        while len(chain) < mult:
-            chain.append(_chain_solve(b, chain[-1], mscale))
-        return [(rate, chain)]
-    u, sing, vh = np.linalg.svd(b)
+        return [(v, mult)]
+    u, sing, vh = np.linalg.svd(np.array(b))
     tol = GEO_RTOL * max(1.0, float(sing[0]))
     geo = int(np.sum(sing <= tol))
     geo = max(1, min(geo, mult))
-    null = [vh[i].conj() for i in range(3 - geo, 3)]
+    null = vh[3 - geo :].conj()
     if geo >= mult:
-        return [(rate, [v]) for v in null[:mult]]
-    if mult == 2:
-        v1 = null[0]
-        v2 = _chain_solve(b, v1, mscale)
-        return [(rate, [v1, v2])]
+        return [(v, 1) for v in null[:mult].tolist()]
     if geo == 1:
-        v1 = null[0]
-        v2 = _chain_solve(b, v1, mscale)
-        v3 = _chain_solve(b, v2, mscale)
-        return [(rate, [v1, v2, v3])]
+        return [(null[0].tolist(), mult)]
     # mult == 3, geo == 2: rank one, so range(B) sits inside null(B).
     head = u[:, 0]
-    v2 = _chain_solve(b, head, mscale)
     spare = null[0] - np.vdot(head, null[0]) * head
     if np.linalg.norm(spare) < 1e-8:
         spare = null[1] - np.vdot(head, null[1]) * head
     spare = spare / np.linalg.norm(spare)
-    return [(rate, [head, v2]), (rate, [spare])]
+    return [(head.tolist(), 2), (spare.tolist(), 1)]
 
 
 def spectrum(spec: SystemSpec) -> ModeDecomposition:
-    """Roots, Jordan chains and structure of the homogeneous generator."""
+    """Roots, Jordan chains and structure of the homogeneous generator,
+    on Python scalars except for the SVD and least-squares fallbacks."""
     reduction = spec.reduction
     if isinstance(reduction, Canonical):
         # Chain vectors map as the traceless matrices they stand for, so
@@ -340,9 +339,8 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
         )
         return ModeDecomposition(modes, md.structure, char_cubic(spec), md.scaled)
 
-    gen = build_generator(spec)
-    m = gen.matrix
-    mscale = float(np.linalg.norm(m))
+    rows = build_generator(spec).matrix.tolist()
+    mscale = scalar_norm([z for row in rows for z in row])
     c = spec.c
     scale = c * c if c > 0 else 1.0
 
@@ -357,7 +355,7 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
     root_scale = max([1.0] + [abs(s) for s, _ in s_roots])
     ztol = 1e-10 * root_scale
 
-    raw_modes: list[tuple[complex, list[np.ndarray]]] = []
+    raw_modes: list[tuple[complex, list]] = []
     done_pairs: set[int] = set()
     for idx, (s, mult) in enumerate(s_roots):
         if idx in done_pairs:
@@ -365,50 +363,50 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
         rate = s * scale
         if abs(s.imag) <= ztol:
             rate = complex(rate.real)
-            chains = _modes_for_root(m, rate, mult, mscale)
-            if all(len(chain) == 1 for _, chain in chains) and len(chains) > 1:
+            b = _minus_rate(rows, rate)
+            chains = _modes_for_root(b, mult, mscale)
+            if len(chains) > 1 and all(k == 1 for _, k in chains):
                 # Diagonalizable multiple root: re-extract the Hermitian slice
                 # jointly so the simple modes stay independent.
-                basis = hermitian_span([direction_matrix(c[0]) for _, c in chains])
+                basis = hermitian_span([direction_matrix(v) for v, _ in chains])
                 if len(basis) < len(chains):
                     raise InternalError("Hermitian slice of the eigenspace is too small")
                 for herm in basis[: len(chains)]:
                     raw_modes.append((rate, [coords(herm)]))
                 continue
-            for r, chain in chains:
-                fixed = [_symmetrize_real(chain[0])]
-                for _ in chain[1:]:
-                    b = m - rate * np.eye(3, dtype=complex)
-                    nxt = _chain_solve(b, fixed[-1], mscale)
-                    nxt = 0.5 * (nxt + dagger_coords(nxt))
-                    fixed.append(nxt)
-                raw_modes.append((rate, fixed))
+            for head, k in chains:
+                chain = [_symmetrize_real(head)]
+                for _ in range(k - 1):
+                    nxt = _chain_solve(np.array(b), chain[-1], mscale)
+                    chain.append(0.5 * (nxt + dagger_coords(nxt)))
+                raw_modes.append((rate, chain))
         else:
             if mult != 1:
                 raise InternalError("repeated non-real root of a real cubic")
             partner = None
             for jdx in range(idx + 1, len(s_roots)):
                 sj, mj = s_roots[jdx]
-                if jdx not in done_pairs and mj == 1 and abs(sj - np.conj(s)) <= 1e-6 * root_scale:
+                close = abs(sj - s.conjugate()) <= 1e-6 * root_scale
+                if jdx not in done_pairs and mj == 1 and close:
                     partner = jdx
                     break
             if partner is None:
                 raise InternalError("unpaired complex root of a real cubic")
             done_pairs.add(partner)
             if s.imag < 0:
-                s = np.conj(s)
+                s = s.conjugate()
             rate = s * scale
-            (_, chain), = _modes_for_root(m, rate, 1, mscale)
-            v = chain[0]
-            raw_modes.append((rate, [v]))
-            raw_modes.append((np.conj(rate), [dagger_coords(v)]))
+            ((v0, v1, v2), _), = _modes_for_root(_minus_rate(rows, rate), 1, mscale)
+            raw_modes.append((rate, [(v0, v1, v2)]))
+            raw_modes.append((rate.conjugate(), [(v0.conjugate(), v2.conjugate(), v1.conjugate())]))
 
-    modes = tuple(
-        Mode(rate=r, vectors=tuple(np.asarray(v, dtype=complex) for v in chain))
-        for r, chain in raw_modes
-    )
-    if sum(len(mo.vectors) for mo in modes) != 3:
+    vectors = np.array([v for _, chain in raw_modes for v in chain], dtype=complex)
+    if len(vectors) != 3:
         raise InternalError("mode chains do not span three dimensions")
+    modes, i = [], 0
+    for rate, chain in raw_modes:
+        modes.append(Mode(rate=rate, vectors=tuple(vectors[i : i + len(chain)])))
+        i += len(chain)
 
     # Structure reflects algebraic multiplicity: a diagonalizable double root
     # is still DoubleRoot even though it carries two simple modes.
@@ -429,7 +427,7 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
     else:
         structure = SpectrumStructure.DISTINCT
 
-    return ModeDecomposition(modes=modes, structure=structure, cubic=coeffs, scaled=c > 0)
+    return ModeDecomposition(modes=tuple(modes), structure=structure, cubic=coeffs, scaled=c > 0)
 
 
 def assert_stability(md: ModeDecomposition, spec: SystemSpec) -> StabilityVerdict:

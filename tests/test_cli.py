@@ -66,6 +66,19 @@ class TestSpectrumCommand:
         svals = sorted(r["s"][0] for r in payload["roots"] for _ in range(r["multiplicity"]))
         assert svals == pytest.approx([-1.0, -0.5, -0.5])
 
+    def test_large_scaled_gap_is_damped(self, tmp_path, capsys):
+        # |H| / c^2 = 1e19: the real parts must survive the roots' scale.
+        doc = {
+            "command": "spectrum",
+            "system": {
+                "hamiltonian": [[1e9, 0.0], [0.0, 0.0]],
+                "lindblad": {"form": "jordan", "c": 1e-5, "lambda": [0.3, 0.2]},
+            },
+        }
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stability"] == "AllDamped"
+
 
 class TestEvolveCommand:
     def test_csv_matches_closed_form(self, tmp_path):

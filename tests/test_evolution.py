@@ -309,10 +309,11 @@ def test_generic_canonical_pipeline_needs_no_svd_or_lstsq(rng, monkeypatch):
     ]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("SVD or least squares on a generic canonical system")
+        raise AssertionError("SVD, least squares or solve on a generic canonical system")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
     for spec, rho0 in cases:
         sol = solve_ivp(spec, rho0)
         trajectory(sol, np.linspace(0.0, 5.0, 20))

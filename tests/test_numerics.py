@@ -14,6 +14,7 @@ from fgkls.numerics import (
     det3,
     schur2,
     solve3,
+    solve_pivoted3,
 )
 
 finite_floats = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
@@ -152,6 +153,36 @@ class TestSolve3:
             ) + 1e-12
             for v in res.nullspace:
                 assert np.linalg.norm(m @ v) < 1e-10 * mn * np.linalg.norm(v) + 1e-12
+
+
+class TestSolvePivoted3:
+    @staticmethod
+    def check(m, b):
+        x = np.array(solve_pivoted3(m.tolist(), b.tolist()))
+        want = np.linalg.solve(m, b)
+        err = np.linalg.norm(x - want) / np.linalg.norm(want)
+        assert err <= 50.0 * np.finfo(float).eps * np.linalg.cond(m)
+
+    def test_random_matrices(self, rng):
+        for _ in range(200):
+            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            self.check(m, rng.normal(size=3) + 1j * rng.normal(size=3))
+
+    def test_near_singular_matrices(self, rng):
+        for delta in (1e-6, 1e-9, 1e-12, 1e-14):
+            for _ in range(20):
+                u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+                v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+                m = u @ np.diag([1.0, 0.5, delta]) @ v
+                self.check(m, rng.normal(size=3) + 1j * rng.normal(size=3))
+
+    def test_needs_a_row_exchange(self):
+        m = [[0j, 1, 0], [2, 0, 0], [0, 0, 4]]
+        assert solve_pivoted3(m, [1, 2, 8]) == [1, 1, 2]
+
+    def test_singular(self):
+        assert solve_pivoted3([[1, 2, 3], [2, 4, 6], [0, 0, 1]], [1, 2, 3]) is None
+        assert solve_pivoted3([[0j] * 3] * 3, [1, 0, 0]) is None
 
 
 class TestSchur2:

@@ -6,6 +6,7 @@ import pytest
 from fgkls.generator import build_generator
 from fgkls.model import DiagonalL, Hamiltonian, JordanL, SystemSpec
 from fgkls.numerics import cubic_roots
+from fgkls.perturb import weak_rates
 from fgkls.sampling import random_spec
 from fgkls.spectral import (
     SpectrumStructure,
@@ -18,6 +19,7 @@ from fgkls.spectral import (
     jordan_coincident_roots,
     spectrum,
 )
+from test_acceptance import diagonal_double_root_spec, jordan_double_root_spec, jordan_triple_root_spec
 
 DEGENERATE_H = Hamiltonian.diagonal(0.5, 0.5)
 
@@ -273,7 +275,7 @@ class TestCrossProductEigenvectors:
         for s, mult in cubic_roots(*char_cubic(spec)).roots:
             assert mult == 1
             b = m - s * spec.c**2 * np.eye(3)
-            v = _cross_null_vector(b, mscale)
+            v = _cross_null_vector(b.tolist(), mscale)
             assert v is not None
             _, sing, vh = np.linalg.svd(b)
             # The cross product's residual is at most sqrt(3) times the
@@ -305,17 +307,55 @@ class TestCrossProductEigenvectors:
         mscale = float(np.linalg.norm(m))
         rate = -0.5 * 0.7**2
         b = m - rate * np.eye(3)
-        assert _cross_null_vector(b, mscale) is None
+        assert _cross_null_vector(b.tolist(), mscale) is None
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        chains = _modes_for_root(m, rate, 2, mscale)
+        chains = _modes_for_root(b.tolist(), 2, mscale)
         assert calls
-        assert [len(chain) for _, chain in chains] == [1, 1]
-        for _, (v,) in chains:
+        assert [k for _, k in chains] == [1, 1]
+        for v, _ in chains:
             assert np.linalg.norm(b @ v) < 1e-12
         # A simple root off by 1e-5 leaves a residual the check rejects.
         spec = _triple_root_neighbour(1e-1)
         m = build_generator(spec).matrix
         s, _ = cubic_roots(*char_cubic(spec)).roots[0]
-        assert _cross_null_vector(m - (s + 1e-5) * np.eye(3), float(np.linalg.norm(m))) is None
+        b = (m - (s + 1e-5) * np.eye(3)).tolist()
+        assert _cross_null_vector(b, float(np.linalg.norm(m))) is None
+
+
+# A level gap of 1e9 at c = 1e-5: the scaled gap |H| / c^2 is 1e19, so the
+# pair |s| ~ 1e19 dwarfs the real root and the pair's real part.
+LARGE_SCALED_GAP = SystemSpec(Hamiltonian.diagonal(1e9, 0.0), JordanL(0.3 + 0.2j, 1e-5))
+
+
+def test_large_scaled_gap_keeps_the_real_parts():
+    spec = LARGE_SCALED_GAP
+    md = spectrum(spec)
+    got = sorted(m.rate.real / spec.c**2 for m in md.modes)
+    want = sorted(a1.real for _, a1 in weak_rates(spec).branches)
+    assert got == pytest.approx(want, abs=1e-9)
+    assert assert_stability(md, spec) is StabilityVerdict.ALL_DAMPED
+
+
+class TestChainsAreSolvedOnce:
+    """One least-squares solve per chain link: two for a triple root, one
+    for a double root."""
+
+    @pytest.mark.parametrize(
+        "family, links",
+        [
+            (jordan_triple_root_spec, 2),
+            (jordan_double_root_spec, 1),
+            (diagonal_double_root_spec, 1),
+        ],
+    )
+    def test_lstsq_calls(self, rng, monkeypatch, family, links):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        for _ in range(5):
+            calls.clear()
+            md = spectrum(family(rng))
+            assert sum(len(m.vectors) - 1 for m in md.modes) == links
+            assert len(calls) == links

@@ -2,13 +2,14 @@
 """Run the benchmark on a parent commit and on the working tree in
 alternating pairs, and summarize each end-to-end metric.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --pr 6 --workload sweep --seed 1 --pairs 10
+    python3 scripts/bench_pairs.py --parent HEAD~1 --pr 6 --workload sweep --seed 1
 
 The parent's committed files are exported with `git archive` into a
 temporary directory; the change is the working tree.  The command refuses
 to run when `bench/` or `BENCHMARK.json` differ between the two, because
-the comparison is only fair with identical benchmark code.  Pair i runs the
-parent first when i is even and the change first when it is odd.
+the comparison is only fair with identical benchmark code.  It runs PAIRS
+pairs; pair i runs the parent first when i is even and the change first
+when it is odd.
 
 It prints, per workload, seed and metric, both sides' medians and
 quartiles, the change's wins (ties count for neither side) and whether the
@@ -35,6 +36,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 # A claimed gain needs the change to win this share of the pairs.
 WIN_SHARE = 0.9
+# Pairs per workload and seed: the fewest a claimed gain is judged on.
+PAIRS = 10
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -122,7 +125,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, type=int, help="number in BENCH_<pr>.json")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", action="append", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
 
     changed = changed_benchmark(args.parent)
@@ -145,19 +147,19 @@ def main(argv=None) -> int:
         for workload in args.workload:
             for seed in args.seed:
                 runs = {"parent": [], "change": []}
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     for side in order:
                         tree = parent_tree if side == "parent" else REPO
                         runs[side].append(run_once(tree, command, workload, seed, seconds))
-                    print(f"{workload} seed {seed}: pair {i + 1}/{args.pairs}", file=sys.stderr)
+                    print(f"{workload} seed {seed}: pair {i + 1}/{PAIRS}", file=sys.stderr)
                 summary = summarize(
                     [r["metrics"] for r in runs["parent"]],
                     [r["metrics"] for r in runs["change"]],
                     spec["end_to_end"],
                 )
                 record["results"][f"{workload}/seed{seed}"] = {"summary": summary, "runs": runs}
-                print(f"{workload}, seed {seed}, {args.pairs} pairs")
+                print(f"{workload}, seed {seed}, {PAIRS} pairs")
                 for name, s in summary.items():
                     p, c = s["parent"], s["change"]
                     print(

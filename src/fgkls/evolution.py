@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, NotReducibleError
-from .model import SystemSpec, as_density, det2, direction_matrix, from_coords
+from .model import SystemSpec, as_density, coords, det2, direction_matrix, from_coords
 from .numerics import scalar_norm, solve_pivoted3
 from .pointer import compute_pointer, representative
 from .spectral import ModeDecomposition, spectrum
@@ -101,8 +101,7 @@ def _coords_at(sol: AnalyticSolution, ts: np.ndarray) -> np.ndarray:
     out = exps.dot(terms[-1])
     for p in range(len(terms) - 2, -1, -1):
         out = exps.dot(terms[p]) + ts[:, None] * out
-    # (f11, f12, f21) are the first three entries of the row-major pointer.
-    out += sol.pointer_part.ravel()[:3]
+    out += coords(sol.pointer_part)
     return out
 
 

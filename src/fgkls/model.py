@@ -321,11 +321,12 @@ def from_coords(x: np.ndarray) -> np.ndarray:
     """Unit-trace matrix from coordinates, f22 = 1 - f11; a stack of
     coordinates (..., 3) gives a stack of matrices (..., 2, 2)."""
     x = np.asarray(x, dtype=complex)
+    out = np.empty(x.shape[:-1] + (2, 2), dtype=complex)
     # Row-major (f11, f12, f21, f22) is the coordinates followed by f22.
-    out = np.empty(x.shape[:-1] + (4,), dtype=complex)
-    out[..., :3] = x
-    np.subtract(1.0, x[..., 0], out=out[..., 3])
-    return out.reshape(x.shape[:-1] + (2, 2))
+    flat = out.reshape(x.shape[:-1] + (4,))
+    flat[..., :3] = x
+    np.subtract(1.0, x[..., 0], out=flat[..., 3])
+    return out
 
 
 def direction_matrix(x: np.ndarray) -> np.ndarray:
@@ -333,10 +334,12 @@ def direction_matrix(x: np.ndarray) -> np.ndarray:
     return np.array([[x[0], x[1]], [x[2], -x[0]]], dtype=complex)
 
 
-def dagger_coords(x: np.ndarray) -> np.ndarray:
+def dagger_coords(x) -> tuple[complex, complex, complex]:
     """Coordinates of the adjoint: (f11, f12, f21) -> (conj f11, conj f21,
-    conj f12).  Its fixed points are the Hermitian matrices."""
-    return np.array([np.conj(x[0]), np.conj(x[2]), np.conj(x[1])], dtype=complex)
+    conj f12), for an array or any sequence of three scalars.  Its fixed
+    points are the Hermitian matrices."""
+    x0, x1, x2 = x
+    return x0.conjugate(), x2.conjugate(), x1.conjugate()
 
 
 def hermitian_span(mats) -> list[np.ndarray]:

@@ -197,7 +197,7 @@ def compute_pointer(spec: SystemSpec) -> PointerResult:
     # overhead would cost more than the arithmetic on four entries.
     (h00, h01), (h10, h11) = h.tolist()
     hscale = math.hypot(h00.real, h11.real, h01.real, h01.imag, h10.real, h10.imag)
-    gap = h00.real - h11.real
+    gap = spec.hamiltonian.gap
 
     if isinstance(form, DiagonalL):
         lam1, lam2 = form.lambda1, form.lambda2

@@ -232,11 +232,10 @@ def _closed_form_roots(spec: SystemSpec) -> list[tuple[complex, int]] | None:
 def _symmetrize_real(v) -> list[complex]:
     """Project three coordinates onto the Hermitian slice (f11 real,
     f21 = conj f12) and normalize, on Python scalars."""
-    x0, x1, x2 = v
-    m0, m1, m2 = x0.conjugate(), x2.conjugate(), x1.conjugate()
-    w = [0.5 * (x0 + m0), 0.5 * (x1 + m1), 0.5 * (x2 + m2)]
+    mirror = dagger_coords(v)
+    w = [0.5 * (x + m) for x, m in zip(v, mirror)]
     if scalar_norm(w) < 0.5 * scalar_norm(v):
-        w = [0.5j * (x0 - m0), 0.5j * (x1 - m1), 0.5j * (x2 - m2)]
+        w = [0.5j * (x - m) for x, m in zip(v, mirror)]
     n = scalar_norm(w)
     if n == 0.0:
         raise InternalError("mode vector collapsed under symmetrization")
@@ -396,17 +395,16 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
             if s.imag < 0:
                 s = s.conjugate()
             rate = s * scale
-            ((v0, v1, v2), _), = _modes_for_root(_minus_rate(rows, rate), 1, mscale)
-            raw_modes.append((rate, [(v0, v1, v2)]))
-            raw_modes.append((rate.conjugate(), [(v0.conjugate(), v2.conjugate(), v1.conjugate())]))
+            (v, _), = _modes_for_root(_minus_rate(rows, rate), 1, mscale)
+            raw_modes.append((rate, [v]))
+            raw_modes.append((rate.conjugate(), [dagger_coords(v)]))
 
-    vectors = np.array([v for _, chain in raw_modes for v in chain], dtype=complex)
-    if len(vectors) != 3:
+    if sum(len(chain) for _, chain in raw_modes) != 3:
         raise InternalError("mode chains do not span three dimensions")
-    modes, i = [], 0
-    for rate, chain in raw_modes:
-        modes.append(Mode(rate=rate, vectors=tuple(vectors[i : i + len(chain)])))
-        i += len(chain)
+    modes = [
+        Mode(rate=rate, vectors=tuple(np.array(v, dtype=complex) for v in chain))
+        for rate, chain in raw_modes
+    ]
 
     # Structure reflects algebraic multiplicity: a diagonalizable double root
     # is still DoubleRoot even though it carries two simple modes.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, NotReducibleError
-from .model import SystemSpec, as_density, coords, det2, direction_matrix, from_coords
+from .model import SystemSpec, as_density, det2
 from .numerics import scalar_norm, solve_pivoted3
 from .pointer import compute_pointer, representative
 from .spectral import ModeDecomposition, spectrum
@@ -59,50 +59,13 @@ def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
         raise InternalError("mode vectors do not span the deviation")
     if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps):
         raise InternalError("amplitude fit produced non-finite values")
-    resid = scalar_norm([sum(f * a for f, a in zip(row, amps)) - d for row, d in zip(fit, dev)])
+    a0, a1, a2 = amps
+    resid = scalar_norm([f0 * a0 + f1 * a1 + f2 * a2 - d for (f0, f1, f2), d in zip(fit, dev)])
     if resid > 1e-9 * max(1.0, scalar_norm(dev)):
         raise InternalError(f"amplitude fit residual {resid:.3e}")
     return AnalyticSolution(
         spec=spec, pointer_part=pointer_part, modes=md, amplitudes=np.array(amps)
     )
-
-
-def _coords_at(sol: AnalyticSolution, ts: np.ndarray) -> np.ndarray:
-    """Coordinates (f11, f12, f21) on a time grid, shape (len(ts), 3): the
-    pointer plus sum_p t^p E (coef[p] * V), by Horner in t, with
-    E[:, i] = exp(rate t) and coef[p][i] = a_(i+p) / p! down the chain of
-    vector i.  One exponential per distinct rate: a real one for a real
-    rate; for a conjugate pair, one complex one and its conjugate."""
-    amps = sol.amplitudes.tolist()
-    modes = sol.modes.modes
-    vectors = [v.tolist() for mode in modes for v in mode.vectors]
-    # terms[p][i] = coef[p][i] * v_i, computed on Python scalars.
-    terms = [[[0j] * 3] * 3 for _ in range(max(len(mode.vectors) for mode in modes))]
-    exps = np.empty((len(ts), 3), dtype=complex)
-    seen: dict[complex, np.ndarray] = {}
-    col = 0
-    for mode in modes:
-        k, rate = len(mode.vectors), mode.rate
-        for i in range(col, col + k):
-            for p in range(col + k - i):
-                a = amps[i + p] / math.factorial(p)
-                terms[p][i] = [a * x for x in vectors[i]]
-        if rate.imag == 0.0:
-            e = np.exp(rate.real * ts)
-        elif rate.conjugate() in seen:
-            e = seen[rate.conjugate()].conj()
-        else:
-            e = np.exp(rate * ts)
-        seen[rate] = e
-        exps[:, col : col + k] = e[:, None]
-        col += k
-    terms = np.array(terms)
-    # |exp(rate t)| <= 1 for this flow.
-    out = exps.dot(terms[-1])
-    for p in range(len(terms) - 2, -1, -1):
-        out = exps.dot(terms[p]) + ts[:, None] * out
-    out += coords(sol.pointer_part)
-    return out
 
 
 def rho_at(sol: AnalyticSolution, t: float) -> np.ndarray:
@@ -112,8 +75,57 @@ def rho_at(sol: AnalyticSolution, t: float) -> np.ndarray:
 
 
 def trajectory(sol: AnalyticSolution, ts) -> np.ndarray:
-    """Stack of density matrices on a grid, shape (len(ts), 2, 2)."""
-    return from_coords(_coords_at(sol, np.asarray(ts, dtype=float)))
+    """Stack of density matrices on a grid, shape (len(ts), 2, 2), exactly
+    Hermitian with f22 = 1 - f11.
+
+    (f11, f12) is the pointer plus sum_p t^p E (coef[p] * V), by Horner in
+    t, with E[:, i] = exp(rate t) and coef[p][i] = a_(i+p) / p! down the
+    chain of vector i.  One exponential per distinct rate: a real one for a
+    real rate; for a conjugate pair, one complex one and its conjugate.
+    """
+    ts = np.asarray(ts, dtype=float)
+    amps = sol.amplitudes.tolist()
+    modes = sol.modes.modes
+    vectors = [v.tolist() for mode in modes for v in mode.vectors]
+    # terms[p][i] = coef[p][i] * (f11, f12) of v_i, on Python scalars.  The
+    # last column of E is 1 and the last row of terms[0] the pointer's
+    # (f11, f12), so the product at p = 0 adds the pointer.
+    terms = [[(0j, 0j)] * 4 for _ in range(max(len(mode.vectors) for mode in modes))]
+    terms[0][3] = tuple(sol.pointer_part.tolist()[0])
+    # E^T, one row per column of E, each row written in place.
+    exps = np.empty((4, len(ts)), dtype=complex)
+    exps[3] = 1.0
+    seen: dict[complex, int] = {}
+    col = 0
+    for mode in modes:
+        k, rate = len(mode.vectors), mode.rate
+        for i in range(col, col + k):
+            v11, v12, _ = vectors[i]
+            for p in range(col + k - i):
+                a = amps[i + p] / math.factorial(p)
+                terms[p][i] = (a * v11, a * v12)
+        if rate.imag == 0.0:
+            exps[col] = np.exp(rate.real * ts)
+        elif rate.conjugate() in seen:
+            np.conjugate(exps[seen[rate.conjugate()]], out=exps[col])
+        else:
+            np.exp(rate * ts, out=exps[col])
+        seen[rate] = col
+        if k > 1:
+            exps[col + 1 : col + k] = exps[col]
+        col += k
+    terms = np.array(terms)
+    # |exp(rate t)| <= 1 for this flow.
+    exps = exps.T
+    top = exps.dot(terms[-1])
+    for p in range(len(terms) - 2, -1, -1):
+        top = exps.dot(terms[p]) + ts[:, None] * top
+    out = np.empty((len(ts), 2, 2), dtype=complex)
+    out[:, 0] = top
+    out[:, 0, 0].imag = 0.0
+    np.conjugate(top[:, 1], out=out[:, 1, 0])
+    np.subtract(1.0, out[:, 0, 0], out=out[:, 1, 1])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,29 +168,33 @@ def single_mode_reduction(sol: AnalyticSolution, tol: float = 1e-10) -> SingleMo
     scale = c * c if c > 0 else 1.0
     zthr = 1e-12 * max(1.0, scale)
 
-    pointer_eff = np.array(sol.pointer_part, dtype=complex)
-    excited: list[tuple[complex, np.ndarray]] = []
-    amp_scale = max([1.0] + [abs(a) for a in sol.amplitudes])
-    tol_abs = tol * amp_scale
+    # Python scalars throughout: the pointer entries, and the coordinates
+    # (f11, f12, f21) of the excited traceless part.
+    (p00, p01), (p10, p11) = sol.pointer_part.tolist()
+    excited: list[tuple[complex, list[complex]]] = []
+    amps = sol.amplitudes.tolist()
+    tol_abs = tol * max([1.0] + [abs(a) for a in amps])
 
     idx = 0
     for mode in sol.modes.modes:
         k = len(mode.vectors)
-        amps = sol.amplitudes[idx : idx + k]
-        idx += k
         rate = mode.rate
         is_zero = abs(rate) <= zthr
         for j in range(k):
-            if abs(amps[j]) <= tol_abs:
+            a = amps[idx + j]
+            if abs(a) <= tol_abs:
                 continue
             if j > 0:
                 raise NotReducibleError("polynomial (coinciding-root) term is excited")
+            x11, x12, x21 = (a * x for x in mode.vectors[0].tolist())
             if is_zero:
-                pointer_eff = pointer_eff + amps[0] * direction_matrix(mode.vectors[0])
+                p00, p01, p10, p11 = p00 + x11, p01 + x12, p10 + x21, p11 - x11
             elif abs(rate.imag) > zthr:
                 raise NotReducibleError("complex-pair amplitude exceeds tolerance")
             else:
-                excited.append((rate, amps[0] * direction_matrix(mode.vectors[0])))
+                excited.append((rate, [x11, x12, x21]))
+        idx += k
+    pointer_eff = np.array([[p00, p01], [p10, p11]], dtype=complex)
 
     if not excited:
         s3 = 0.0
@@ -193,15 +209,15 @@ def single_mode_reduction(sol: AnalyticSolution, tol: float = 1e-10) -> SingleMo
     rate0 = excited[0][0]
     if any(abs(r - rate0) > 1e-8 * max(1.0, abs(r), abs(rate0)) for r, _ in excited[1:]):
         raise NotReducibleError("two distinct real decay rates are excited")
-    combined = sum(v for _, v in excited)
-    if float(np.linalg.norm(combined - combined.conj().T)) > 1e-9 * float(
-        np.linalg.norm(combined)
-    ):
+    x11, x12, x21 = map(sum, zip(*(v for _, v in excited)))
+    # The traceless matrix [[x11, x12], [x21, -x11]] must be Hermitian.
+    anti = x11 - x11.conjugate()
+    skew = scalar_norm((anti, x12 - x21.conjugate(), x21 - x12.conjugate(), anti))
+    if skew > 1e-9 * scalar_norm((x11, x12, x21, x11)):
         raise InternalError("excited real mode is not Hermitian")
-    combined = (combined + combined.conj().T) / 2.0
 
-    h_signed = float(combined[0, 0].real)
-    off = complex(combined[0, 1])
+    h_signed = x11.real
+    off = (x12 + x21.conjugate()) / 2.0
     norm = math.hypot(h_signed, abs(off))
     if h_signed != 0.0:
         sigma = 1 if h_signed > 0 else -1

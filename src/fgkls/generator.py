@@ -57,8 +57,8 @@ def coefficients(spec: SystemSpec) -> RateCoefficients:
     """Rate coefficients from the Hamiltonian entries and L = c * l, on
     Python scalars: numpy's per-call overhead would cost more than the
     arithmetic on eight entries."""
-    (e11, e12), (e21, e22) = spec.hamiltonian.matrix.tolist()
-    (l11, l12), (l21, l22) = spec.lindblad.small_l().tolist()
+    (e11, e12), (e21, e22) = spec.hamiltonian.entries
+    (l11, l12), (l21, l22) = spec.lindblad.entries
     c2 = spec.c * spec.c
     return RateCoefficients(
         d11_11=-c2 * abs(l21) ** 2,

@@ -10,7 +10,7 @@ whenever a unitary change of basis can do it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -40,9 +40,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _hermitian_part(m, tol: float) -> tuple[bool, np.ndarray, complex]:
-    """(whether max|m - m^dag| <= tol * max(1, ||m||), (m + m^dag) / 2, tr m)
-    for a finite 2x2 matrix.
+Entries2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
+def _hermitian_part(m, tol: float) -> tuple[bool, Entries2, complex]:
+    """(whether max|m - m^dag| <= tol * max(1, ||m||), the entries of
+    (m + m^dag) / 2, tr m) for a finite 2x2 matrix.
 
     Scalar arithmetic on the four entries: numpy's per-call overhead would
     cost several times the arithmetic itself.
@@ -51,25 +54,29 @@ def _hermitian_part(m, tol: float) -> tuple[bool, np.ndarray, complex]:
     scale = max(1.0, math.hypot(a.real, a.imag, b.real, b.imag, g.real, g.imag, d.real, d.imag))
     hermitian = max(2.0 * abs(a.imag), abs(b - g.conjugate()), 2.0 * abs(d.imag)) <= tol * scale
     off = (b + g.conjugate()) / 2
-    return hermitian, np.array([[a.real, off], [off.conjugate(), d.real]], dtype=complex), a + d
+    return hermitian, ((complex(a.real), off), (off.conjugate(), complex(d.real))), a + d
 
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """2x2 Hermitian Hamiltonian (hbar = 1), symmetrized on construction."""
+    """2x2 Hermitian Hamiltonian (hbar = 1), symmetrized on construction;
+    ``entries`` holds its entries as Python complex scalars."""
 
     matrix: np.ndarray
+    entries: Entries2 = field(init=False, repr=False)
 
     def __post_init__(self):
-        hermitian, sym, _ = _hermitian_part(self.matrix, HERMITICITY_ATOL)
+        hermitian, entries, _ = _hermitian_part(self.matrix, HERMITICITY_ATOL)
         if not hermitian:
             raise InputError("Hamiltonian is not Hermitian")
-        object.__setattr__(self, "matrix", _frozen(sym))
+        object.__setattr__(self, "matrix", _frozen(np.array(entries, dtype=complex)))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def gap(self) -> float:
         """Level splitting eps_11 - eps_22."""
-        return float(self.matrix[0, 0].real - self.matrix[1, 1].real)
+        (e11, _), (_, e22) = self.entries
+        return e11.real - e22.real
 
     @classmethod
     def diagonal(cls, e1: float, e2: float) -> "Hamiltonian":
@@ -87,8 +94,15 @@ def _check_coupling(c: float) -> float:
     return c
 
 
+class _Shape:
+    """Base of the Lindblad shapes, whose ``entries`` are those of l."""
+
+    def small_l(self) -> np.ndarray:
+        return np.array(self.entries, dtype=complex)
+
+
 @dataclass(frozen=True)
-class DiagonalL:
+class DiagonalL(_Shape):
     """Diagonal Lindblad shape: L = c * diag(lambda1, lambda2)."""
 
     lambda1: complex
@@ -100,12 +114,13 @@ class DiagonalL:
         object.__setattr__(self, "lambda2", _finite_complex(self.lambda2, "lambda2"))
         object.__setattr__(self, "c", _check_coupling(self.c))
 
-    def small_l(self) -> np.ndarray:
-        return np.diag([self.lambda1, self.lambda2]).astype(complex)
+    @property
+    def entries(self) -> Entries2:
+        return (self.lambda1, 0j), (0j, self.lambda2)
 
 
 @dataclass(frozen=True)
-class JordanL:
+class JordanL(_Shape):
     """Jordan-block Lindblad shape: L = c * (lam * I + sigma_plus)."""
 
     lam: complex
@@ -115,12 +130,13 @@ class JordanL:
         object.__setattr__(self, "lam", _finite_complex(self.lam, "lambda"))
         object.__setattr__(self, "c", _check_coupling(self.c))
 
-    def small_l(self) -> np.ndarray:
-        return np.array([[self.lam, 1.0], [0.0, self.lam]], dtype=complex)
+    @property
+    def entries(self) -> Entries2:
+        return (self.lam, 1 + 0j), (0j, self.lam)
 
 
 @dataclass(frozen=True, eq=False)
-class GeneralL:
+class GeneralL(_Shape):
     """Arbitrary 2x2 Lindblad shape: L = c * matrix."""
 
     matrix: np.ndarray
@@ -130,8 +146,9 @@ class GeneralL:
         object.__setattr__(self, "matrix", _frozen(finite_matrix(self.matrix)))
         object.__setattr__(self, "c", _check_coupling(self.c))
 
-    def small_l(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=complex)
+    @property
+    def entries(self) -> Entries2:
+        return tuple(map(tuple, self.matrix.tolist()))
 
 
 LindbladForm = DiagonalL | JordanL | GeneralL
@@ -297,7 +314,7 @@ def validate_density(rho, tol: float = 1e-9) -> DensityReport:
     """
     hermitian, sym, trace = _hermitian_part(rho, tol)
     return DensityReport(
-        hermitian=hermitian, trace_dev=abs(trace - 1.0), min_eigenvalue=min_eig2(sym)
+        hermitian=hermitian, trace_dev=abs(trace - 1.0), min_eigenvalue=min_eig2(np.array(sym))
     )
 
 
@@ -309,7 +326,7 @@ def as_density(rho, tol: float = 1e-9) -> np.ndarray:
     trace_dev = abs(trace - 1.0)
     if trace_dev > tol:
         raise InputError(f"density matrix trace deviates by {trace_dev:.3e}")
-    return sym / trace.real
+    return np.array(sym) / trace.real
 
 
 def coords(rho: np.ndarray) -> np.ndarray:

@@ -49,7 +49,8 @@ def finite_matrix(m, shape=(2, 2)) -> np.ndarray:
     arr = np.array(m, dtype=complex)
     if arr.shape != shape:
         raise InputError(f"expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr.view(float)).all():
+    # Python's isfinite on the few parts costs less than a numpy reduction.
+    if not all(map(math.isfinite, arr.view(float).ravel().tolist())):
         raise InputError("non-finite matrix entries")
     return arr
 
@@ -79,10 +80,11 @@ def _newton_polish(s: complex, p2: complex, p1: complex, p0: complex) -> complex
     """One guarded Newton step; kept only if it reduces the residual."""
     f = _poly_eval(s, p2, p1, p0)
     fp = (3.0 * s + 2.0 * p2) * s + p1
-    if abs(fp) <= 1e-3 * abs(f) or fp == 0:
+    abs_f = abs(f)
+    if abs(fp) <= 1e-3 * abs_f or fp == 0:
         return s
     cand = s - f / fp
-    if abs(_poly_eval(cand, p2, p1, p0)) <= abs(f):
+    if abs(_poly_eval(cand, p2, p1, p0)) <= abs_f:
         return cand
     return s
 
@@ -173,6 +175,7 @@ def _complex_cubic(p2: complex, p1: complex, p0: complex) -> list[complex]:
 
 
 _REFINE_BAND = 1e-5
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def cubic_roots(p2: complex, p1: complex, p0: complex) -> CubicRoots:
@@ -199,8 +202,8 @@ def cubic_roots(p2: complex, p1: complex, p0: complex) -> CubicRoots:
         seen_pair = False
         for r in raw:
             if r.imag == 0.0:
-                s = _newton_polish(complex(r.real), rp2, rp1, rp0)
-                polished.append(complex(s.real))
+                # Real arithmetic: the same real parts as on complex scalars.
+                polished.append(complex(_newton_polish(r.real, rp2, rp1, rp0)))
             elif not seen_pair:
                 s = _newton_polish(r, rp2, rp1, rp0)
                 polished.append(s)
@@ -223,12 +226,13 @@ def cubic_roots(p2: complex, p1: complex, p0: complex) -> CubicRoots:
         p2u, p1u, p0u = p2, p1, p0
 
     # Critical-point refinement of the closest pair, if it is nearly double.
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    dists = [abs(roots[a] - roots[b]) for a, b in pairs]
-    kmin = min(range(3), key=dists.__getitem__)
-    ia, ib = pairs[kmin]
-    pair_scale = max(1.0, abs(roots[ia]), abs(roots[ib]))
-    if 0.0 < dists[kmin] <= _REFINE_BAND * pair_scale:
+    # Each |root| and each pair distance is taken once, for the refinement
+    # test and the clustering below.
+    mags = [abs(r) for r in roots]
+    dists = [abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2])]
+    kmin = dists.index(min(dists))
+    ia, ib = _PAIRS[kmin]
+    if 0.0 < dists[kmin] <= _REFINE_BAND * max(1.0, mags[ia], mags[ib]):
         mid = (roots[ia] + roots[ib]) / 2.0
         disc = cmath.sqrt(p2u * p2u - 3.0 * p1u)
         crit = min(
@@ -260,21 +264,26 @@ def cubic_roots(p2: complex, p1: complex, p0: complex) -> CubicRoots:
                         ]
                     cand_third = complex(cand_third.real)
                 roots = cand_pair + [cand_third]
+                mags = [abs(r) for r in roots]
+                dists = [
+                    abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2])
+                ]
 
     # Cluster coincident roots: the union over the three pairs.  Two close
     # pairs share a root, so they join all three (near-triple cases merge).
     close = [
         (a, b)
-        for a, b in pairs
-        if abs(roots[a] - roots[b]) < COINCIDENCE_RTOL * max(1.0, abs(roots[a]), abs(roots[b]))
+        for (a, b), dist in zip(_PAIRS, dists)
+        if dist < COINCIDENCE_RTOL * max(1.0, mags[a], mags[b])
     ]
     if len(close) >= 2:
-        groups = [roots]
+        groups, pattern = [roots], RootPattern.TRIPLE
     elif close:
         (a, b), = close
         groups = [[roots[a], roots[b]], [roots[3 - a - b]]]
+        pattern = RootPattern.ONE_DOUBLE_ONE_SIMPLE
     else:
-        groups = [[r] for r in roots]
+        groups, pattern = [[r] for r in roots], RootPattern.THREE_DISTINCT
 
     entries = []
     for g in groups:
@@ -283,14 +292,6 @@ def cubic_roots(p2: complex, p1: complex, p0: complex) -> CubicRoots:
             mean = complex(mean.real)
         entries.append((mean, len(g)))
     entries.sort(key=lambda e: (e[0].real, e[0].imag))
-
-    mults = sorted(m for _, m in entries)
-    if mults == [3]:
-        pattern = RootPattern.TRIPLE
-    elif mults == [1, 2]:
-        pattern = RootPattern.ONE_DOUBLE_ONE_SIMPLE
-    else:
-        pattern = RootPattern.THREE_DISTINCT
     return CubicRoots(roots=tuple(entries), classification=pattern)
 
 

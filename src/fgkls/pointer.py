@@ -183,7 +183,6 @@ def compute_pointer(spec: SystemSpec) -> PointerResult:
     general form is solved in its canonical frame when it has one, and
     through the 3x3 stationary system numerically otherwise.
     """
-    h = spec.hamiltonian.matrix
     c = spec.c
     if c == 0.0:
         return NoAttractor("closed system (c = 0): Liouville evolution has no attractor")
@@ -195,7 +194,7 @@ def compute_pointer(spec: SystemSpec) -> PointerResult:
     form = spec.lindblad
     # The canonical branches run on Python scalars: numpy's per-call
     # overhead would cost more than the arithmetic on four entries.
-    (h00, h01), (h10, h11) = h.tolist()
+    (h00, h01), (h10, h11) = spec.hamiltonian.entries
     hscale = math.hypot(h00.real, h11.real, h01.real, h01.imag, h10.real, h10.imag)
     gap = spec.hamiltonian.gap
 

@@ -103,7 +103,7 @@ class ModeDecomposition:
 
 def _jordan_invariants(spec: SystemSpec) -> tuple[float, float]:
     """(squared scaled level gap, squared coupling) for the Jordan shape."""
-    h10 = spec.hamiltonian.matrix.tolist()[1][0]
+    h10 = spec.hamiltonian.entries[1][0]
     c2 = spec.c * spec.c
     gap_sq = (spec.hamiltonian.gap / c2) ** 2
     coupling_sq = abs(0.5 * spec.lindblad.lam + 1j * h10 / c2) ** 2
@@ -113,7 +113,7 @@ def _jordan_invariants(spec: SystemSpec) -> tuple[float, float]:
 def _diagonal_invariants(spec: SystemSpec) -> tuple[float, float, float]:
     """(|lambda1 - lambda2|^2, |e12|^2, effective detuning) for the diagonal
     shape, with e12 = eps_12 / c^2."""
-    h01 = spec.hamiltonian.matrix.tolist()[0][1]
+    h01 = spec.hamiltonian.entries[0][1]
     c2 = spec.c * spec.c
     lam1, lam2 = spec.lindblad.lambda1, spec.lindblad.lambda2
     detune = spec.hamiltonian.gap / c2 - (lam1 * lam2.conjugate()).imag
@@ -234,9 +234,10 @@ def _symmetrize_real(v) -> list[complex]:
     f21 = conj f12) and normalize, on Python scalars."""
     mirror = dagger_coords(v)
     w = [0.5 * (x + m) for x, m in zip(v, mirror)]
-    if scalar_norm(w) < 0.5 * scalar_norm(v):
-        w = [0.5j * (x - m) for x, m in zip(v, mirror)]
     n = scalar_norm(w)
+    if n < 0.5 * scalar_norm(v):
+        w = [0.5j * (x - m) for x, m in zip(v, mirror)]
+        n = scalar_norm(w)
     if n == 0.0:
         raise InternalError("mode vector collapsed under symmetrization")
     w = [z / n for z in w]
@@ -250,7 +251,7 @@ def _symmetrize_real(v) -> list[complex]:
 
 
 def _chain_solve(b: np.ndarray, target, mscale: float) -> np.ndarray:
-    sol, *_ = np.linalg.lstsq(b, target, rcond=None)
+    sol, *_ = np.linalg.lstsq(b, target, rcond=GEO_RTOL)
     if np.linalg.norm(b @ sol - target) > CHAIN_RTOL * max(1.0, mscale):
         raise InternalError("generalized-eigenvector chain is inconsistent")
     return sol
@@ -339,7 +340,7 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
         return ModeDecomposition(modes, md.structure, char_cubic(spec), md.scaled)
 
     rows = build_generator(spec).matrix.tolist()
-    mscale = scalar_norm([z for row in rows for z in row])
+    mscale = scalar_norm(rows[0] + rows[1] + rows[2])
     c = spec.c
     scale = c * c if c > 0 else 1.0
 
@@ -402,25 +403,27 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
     if sum(len(chain) for _, chain in raw_modes) != 3:
         raise InternalError("mode chains do not span three dimensions")
     modes = [
-        Mode(rate=rate, vectors=tuple(np.array(v, dtype=complex) for v in chain))
-        for rate, chain in raw_modes
+        Mode(rate, tuple([np.array(v, dtype=complex) for v in chain])) for rate, chain in raw_modes
     ]
 
     # Structure reflects algebraic multiplicity: a diagonalizable double root
-    # is still DoubleRoot even though it carries two simple modes.
-    svals = [s for s, _ in s_roots]
+    # is still DoubleRoot even though it carries two simple modes.  Real
+    # parts are compared with the damping scale -p2 = sum Re s, which the
+    # roots keep to full relative precision however large their imaginary
+    # parts; bare rates (c = 0) have no damping scale.
+    dtol = 1e-10 * max(1.0, abs(coeffs[0])) if c > 0 else ztol
     top = max(mult for _, mult in s_roots)
-    has_osc = any(abs(s.real) <= ztol and abs(s.imag) > ztol for s in svals)
-    has_zero = any(abs(s) <= ztol for s in svals)
-    if has_osc:
+    # For each root without damping: whether it oscillates.
+    undamped = [abs(s.imag) > ztol for s, _ in s_roots if abs(s.real) <= dtol]
+    if any(undamped):
         structure = SpectrumStructure.OSCILLATORY_UNDAMPED
-    elif has_zero:
+    elif undamped:
         structure = SpectrumStructure.ZERO_MODE
     elif top == 3:
         structure = SpectrumStructure.TRIPLE_ROOT
     elif top == 2:
         structure = SpectrumStructure.DOUBLE_ROOT
-    elif any(abs(s.imag) > ztol for s in svals):
+    elif any(abs(s.imag) > ztol for s, _ in s_roots):
         structure = SpectrumStructure.COMPLEX_PAIR_PLUS_REAL
     else:
         structure = SpectrumStructure.DISTINCT

@@ -12,6 +12,7 @@ mapped back, so only NonCanonical input takes the numeric kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,8 +25,8 @@ from .model import (
     SystemSpec,
     from_frame_hermitian,
     hermitian_span,
-    min_eig2,
 )
+from .numerics import scalar_norm
 
 COMMUTE_RTOL = 1e-10
 # The dissipator kills a direction when its singular value is below
@@ -96,16 +97,17 @@ def classify_unitons(spec: SystemSpec) -> UnitonVerdict:
             return AllStates()
         return NoUnitons(
             reason=_FAMILY_CONSTANT,
-            candidate=np.diag([1.0 + 0j, 0.0]),
-            family=(np.diag([-1.0 + 0j, 1.0]),),
+            candidate=np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
+            family=(np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),),
         )
     if isinstance(form, JordanL):
         # The kernel of lambda I + sigma_plus is one state, positive for
         # every lambda.
         lam = form.lam
         n2 = abs(lam) ** 2
-        rho = np.array([[1.0 + n2, -lam.conjugate()], [-lam, n2]]) / (1.0 + 2.0 * n2)
-        return _single_candidate_verdict(spec.hamiltonian.matrix, rho)
+        inv = 1.0 / (1.0 + 2.0 * n2)
+        rho = ((1.0 + n2) * inv, -lam.conjugate() * inv), (-lam * inv, n2 * inv)
+        return _single_candidate_verdict(spec.hamiltonian.entries, rho)
     return _numeric_verdict(spec)
 
 
@@ -122,20 +124,30 @@ def _from_frame_verdict(verdict: UnitonVerdict, basis: np.ndarray) -> UnitonVerd
     return verdict
 
 
-def _single_candidate_verdict(h: np.ndarray, base: np.ndarray) -> UnitonVerdict:
-    """Verdict for a one-dimensional kernel spanned by the unit-trace base."""
-    hscale = max(1.0, float(np.linalg.norm(h)))
-    commutator = h @ base - base @ h
-    if float(np.linalg.norm(commutator)) <= COMMUTE_RTOL * hscale:
-        if min_eig2((base + base.conj().T) / 2.0) >= -1e-12:
-            return StationaryPointerOnly(rho=base)
+def _single_candidate_verdict(h, base) -> UnitonVerdict:
+    """Verdict for a one-dimensional kernel spanned by the unit-trace base,
+    from the entries ((x11, x12), (x21, x22)) of H and of the base, on
+    Python scalars."""
+    (h00, h01), (h10, h11) = h
+    (b00, b01), (b10, b11) = base
+    hscale = max(1.0, scalar_norm((h00, h01, h10, h11)))
+    # [H, base]: its diagonal entries are opposite.
+    c00 = h01 * b10 - b01 * h10
+    c01 = b01 * (h00 - h11) - h01 * (b00 - b11)
+    c10 = h10 * (b00 - b11) - b10 * (h00 - h11)
+    candidate = np.array(base, dtype=complex)
+    if scalar_norm((c00, c01, c10, c00)) <= COMMUTE_RTOL * hscale:
+        # Twice the smaller eigenvalue of the Hermitian part.
+        two_min = (b00 + b11).real - math.hypot((b00 - b11).real, abs(b01 + b10.conjugate()))
+        if two_min >= -2e-12:
+            return StationaryPointerOnly(rho=candidate)
         return NoUnitons(
             reason="unique dissipation-free matrix is not positive",
-            candidate=base,
+            candidate=candidate,
         )
     return NoUnitons(
         reason="unique candidate does not commute with the Hamiltonian",
-        candidate=base,
+        candidate=candidate,
     )
 
 
@@ -171,7 +183,7 @@ def _numeric_verdict(spec: SystemSpec) -> UnitonVerdict:
     ]
 
     if dim == 1:
-        return _single_candidate_verdict(h, base)
+        return _single_candidate_verdict(spec.hamiltonian.entries, base.tolist())
 
     # A family: unitary motion within it would need -i[H, d] proportional to
     # a direction, which the trace inner product forbids; members therefore

@@ -78,6 +78,7 @@ class TestSpectrumCommand:
         assert main(["--job", write_job(tmp_path, doc)]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["stability"] == "AllDamped"
+        assert payload["structure"] == "ComplexPairPlusReal"
 
 
 class TestEvolveCommand:

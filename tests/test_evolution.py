@@ -6,7 +6,6 @@ import pytest
 
 from fgkls.errors import NotReducibleError
 from fgkls.evolution import (
-    _coords_at,
     positivity_window,
     reconstructed_mode_matrix,
     rho_at,
@@ -14,13 +13,27 @@ from fgkls.evolution import (
     solve_ivp,
     trajectory,
 )
-from fgkls.model import DiagonalL, Hamiltonian, JordanL, SystemSpec, coords, det2
+from fgkls.model import (
+    DiagonalL,
+    GeneralL,
+    Hamiltonian,
+    JordanL,
+    SystemSpec,
+    coords,
+    det2,
+    from_coords,
+)
 from fgkls.oracle import det_scan
 from fgkls.pointer import UniquePointer, compute_pointer
 from fgkls.sampling import random_density, random_spec
 from fgkls.spectral import spectrum
 from fgkls.uniton import classify_unitons
-from test_acceptance import diagonal_double_root_spec, jordan_double_root_spec, jordan_triple_root_spec
+from test_acceptance import (
+    diagonal_double_root_spec,
+    haar_unitary,
+    jordan_double_root_spec,
+    jordan_triple_root_spec,
+)
 
 AMP_DAMP = SystemSpec(Hamiltonian.diagonal(0.3, 0.3), JordanL(0.0, 1.0))
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -277,7 +290,7 @@ def literal_coords(sol, ts):
     return np.array(out)
 
 
-class TestCoordsAt:
+class TestTrajectoryClosedForm:
     def _solutions(self, rng):
         sols = []
         for form in ("diagonal", "jordan", "general"):
@@ -287,18 +300,48 @@ class TestCoordsAt:
         for family in (jordan_double_root_spec, jordan_triple_root_spec, diagonal_double_root_spec):
             for _ in range(5):
                 sols.append(solve_ivp(family(rng), random_density(rng)))
+        # Canonical systems, plain and with coinciding roots, passed as
+        # general form in a random basis.
+        for family in (
+            lambda r: random_spec(r, "any", c_range=(0.3, 2.0)),
+            jordan_double_root_spec,
+            jordan_triple_root_spec,
+            diagonal_double_root_spec,
+        ):
+            for _ in range(3):
+                spec, u = family(rng), haar_unitary(rng)
+                rotated = SystemSpec(
+                    Hamiltonian(u @ spec.hamiltonian.matrix @ u.conj().T),
+                    GeneralL(u @ spec.lindblad.small_l() @ u.conj().T, spec.c),
+                )
+                sols.append(solve_ivp(rotated, random_density(rng)))
         return sols
+
+    @staticmethod
+    def _grids(sol):
+        return (np.linspace(0.0, 8.0 / sol.spec.c**2, 40), np.array([0.0]), np.array([1.7]))
 
     def test_matches_the_per_mode_sum(self, rng):
         chains = 0
         for sol in self._solutions(rng):
             chains += any(len(m.vectors) > 1 for m in sol.modes.modes)
-            for ts in (np.linspace(0.0, 8.0 / sol.spec.c**2, 40), np.array([0.0]), np.array([1.7])):
-                got = _coords_at(sol, ts)
-                assert got.shape == (len(ts), 3)
-                assert np.max(np.abs(got - literal_coords(sol, ts))) < 1e-13
+            for ts in self._grids(sol):
+                got = trajectory(sol, ts)
+                assert got.shape == (len(ts), 2, 2)
+                assert np.max(np.abs(got - from_coords(literal_coords(sol, ts)))) < 1e-13
         # Every coinciding-root solution carries a Jordan chain.
         assert chains >= 15
+
+    def test_states_are_exactly_hermitian_with_unit_trace(self, rng):
+        for sol in self._solutions(rng):
+            for ts in self._grids(sol):
+                states = trajectory(sol, ts)
+                f11, f12 = states[:, 0, 0], states[:, 0, 1]
+                f21, f22 = states[:, 1, 0], states[:, 1, 1]
+                assert np.all(f11.imag == 0.0) and np.all(f22.imag == 0.0)
+                assert np.array_equal(f21, f12.conj())
+                assert np.array_equal(f22.real, 1.0 - f11.real)
+            assert np.array_equal(rho_at(sol, 1.7), trajectory(sol, [1.7])[0])
 
 
 def test_generic_canonical_pipeline_needs_no_svd_or_lstsq(rng, monkeypatch):

@@ -44,6 +44,21 @@ class TestHamiltonian:
     def test_gap(self):
         assert Hamiltonian.diagonal(1.5, 0.5).gap == pytest.approx(1.0)
 
+    def test_scalar_entries_equal_the_matrix_and_are_read_only(self, rng):
+        for _ in range(20):
+            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            # Hermitian up to rounding, so symmetrization has work to do.
+            h = Hamiltonian(a + a.conj().T + 1e-16 * rng.normal(size=(2, 2)))
+            entries = h.entries
+            assert type(entries) is tuple and all(type(row) is tuple for row in entries)
+            assert all(type(z) is complex for row in entries for z in row)
+            assert np.array_equal(np.array(entries), h.matrix)
+            assert h.gap == entries[0][0].real - entries[1][1].real
+            with pytest.raises(TypeError):
+                entries[0][0] = 0j
+            with pytest.raises(AttributeError):
+                h.entries = ((0j, 0j), (0j, 0j))
+
 
 class TestLindbladForms:
     def test_coupling_must_be_nonnegative(self):
@@ -53,6 +68,13 @@ class TestLindbladForms:
     def test_small_l_shapes(self):
         assert np.allclose(DiagonalL(2.0, 3.0, 1.0).small_l(), np.diag([2.0, 3.0]))
         assert np.allclose(JordanL(5.0, 1.0).small_l(), [[5.0, 1.0], [0.0, 5.0]])
+
+    def test_entries_are_the_small_l_scalars(self):
+        l = np.array([[0.3 + 0.1j, -1.2], [0.4j, 2.0]])
+        for form in (DiagonalL(2.0, 3.0 - 1j, 1.0), JordanL(5.0 + 2j, 1.0), GeneralL(l, 0.5)):
+            entries = form.entries
+            assert all(type(z) is complex for row in entries for z in row)
+            assert np.array_equal(np.array(entries), form.small_l())
 
 
 class TestCanonicalize:

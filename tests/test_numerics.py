@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,19 @@ from hypothesis import strategies as st
 
 from fgkls.errors import InputError
 from fgkls.numerics import (
+    _REFINE_BAND,
+    COINCIDENCE_RTOL,
     CubicRoots,
     Inconsistent,
     RootPattern,
     SolutionFamily,
     UniqueSolution,
     cubic_roots,
+    _complex_cubic,
+    _newton_polish,
+    _poly_eval,
+    _real_cubic,
+    _require_finite,
     det3,
     schur2,
     solve3,
@@ -91,6 +100,155 @@ class TestCubicRoots:
             by_mult = {m: v for v, m in res.roots}
             assert by_mult[2] == pytest.approx(r0, abs=1e-10)
             assert by_mult[1] == pytest.approx(q, abs=1e-10)
+
+
+# A literal copy of ``cubic_roots``, docstring left out, as it was before
+# its refinement and clustering tail took each |root| and each pair
+# distance once.
+def reference_cubic_roots(p2, p1, p0):
+    p2, p1, p0 = complex(p2), complex(p1), complex(p0)
+    _require_finite(p2, p1, p0)
+
+    coeff_scale = max(1.0, abs(p2), abs(p1), abs(p0))
+    is_real = max(abs(p2.imag), abs(p1.imag), abs(p0.imag)) < 1e-10 * coeff_scale
+    if is_real:
+        raw = _real_cubic(p2.real, p1.real, p0.real)
+        rp2, rp1, rp0 = p2.real, p1.real, p0.real
+        polished: list[complex] = []
+        seen_pair = False
+        for r in raw:
+            if r.imag == 0.0:
+                s = _newton_polish(complex(r.real), rp2, rp1, rp0)
+                polished.append(complex(s.real))
+            elif not seen_pair:
+                s = _newton_polish(r, rp2, rp1, rp0)
+                polished.append(s)
+                polished.append(s.conjugate())
+                seen_pair = True
+        if seen_pair:
+            # A dominant pair z, z* leaves r and Re z with an error of about
+            # eps |z|; the identities r |z|^2 = -p0 and r + 2 Re z = -p2 give
+            # both to full relative precision.
+            r, z = polished[0].real, polished[1]
+            mag = abs(z)
+            if mag > abs(r):
+                r = -(rp0 / mag) / mag
+                re = (-rp2 - r) / 2.0
+                polished = [complex(r), complex(re, z.imag), complex(re, -z.imag)]
+        roots = polished
+        p2u, p1u, p0u = complex(rp2), complex(rp1), complex(rp0)
+    else:
+        roots = [_newton_polish(r, p2, p1, p0) for r in _complex_cubic(p2, p1, p0)]
+        p2u, p1u, p0u = p2, p1, p0
+
+    # Critical-point refinement of the closest pair, if it is nearly double.
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    dists = [abs(roots[a] - roots[b]) for a, b in pairs]
+    kmin = min(range(3), key=dists.__getitem__)
+    ia, ib = pairs[kmin]
+    pair_scale = max(1.0, abs(roots[ia]), abs(roots[ib]))
+    if 0.0 < dists[kmin] <= _REFINE_BAND * pair_scale:
+        mid = (roots[ia] + roots[ib]) / 2.0
+        disc = cmath.sqrt(p2u * p2u - 3.0 * p1u)
+        crit = min(
+            [(-p2u + disc) / 3.0, (-p2u - disc) / 3.0], key=lambda z: abs(z - mid)
+        )
+        curv = 6.0 * crit + 2.0 * p2u
+        if abs(curv) > 1e-6 * max(1.0, abs(p2u)):
+            val = _poly_eval(crit, p2u, p1u, p0u)
+            delta = cmath.sqrt(-2.0 * val / curv)
+            cand_pair = [crit + delta, crit - delta]
+            cand_third = -p2u - 2.0 * crit
+            old_res = max(
+                abs(_poly_eval(roots[ia], p2u, p1u, p0u)),
+                abs(_poly_eval(roots[ib], p2u, p1u, p0u)),
+            )
+            new_res = max(abs(_poly_eval(z, p2u, p1u, p0u)) for z in cand_pair)
+            if new_res <= 10.0 * old_res + 1e-13 * coeff_scale:
+                if is_real:
+                    # Keep exact realness or exact conjugacy of the pair.
+                    if abs(delta.imag) <= abs(delta.real):
+                        cand_pair = [
+                            complex(crit.real + abs(delta)),
+                            complex(crit.real - abs(delta)),
+                        ]
+                    else:
+                        cand_pair = [
+                            complex(crit.real, abs(delta)),
+                            complex(crit.real, -abs(delta)),
+                        ]
+                    cand_third = complex(cand_third.real)
+                roots = cand_pair + [cand_third]
+
+    # Cluster coincident roots: the union over the three pairs.  Two close
+    # pairs share a root, so they join all three (near-triple cases merge).
+    close = [
+        (a, b)
+        for a, b in pairs
+        if abs(roots[a] - roots[b]) < COINCIDENCE_RTOL * max(1.0, abs(roots[a]), abs(roots[b]))
+    ]
+    if len(close) >= 2:
+        groups = [roots]
+    elif close:
+        (a, b), = close
+        groups = [[roots[a], roots[b]], [roots[3 - a - b]]]
+    else:
+        groups = [[r] for r in roots]
+
+    entries = []
+    for g in groups:
+        mean = sum(g) / len(g)
+        if is_real and abs(mean.imag) <= COINCIDENCE_RTOL * max(1.0, abs(mean)):
+            mean = complex(mean.real)
+        entries.append((mean, len(g)))
+    entries.sort(key=lambda e: (e[0].real, e[0].imag))
+
+    mults = sorted(m for _, m in entries)
+    if mults == [3]:
+        pattern = RootPattern.TRIPLE
+    elif mults == [1, 2]:
+        pattern = RootPattern.ONE_DOUBLE_ONE_SIMPLE
+    else:
+        pattern = RootPattern.THREE_DISTINCT
+    return CubicRoots(roots=tuple(entries), classification=pattern)
+
+
+def identity_cases(rng, count):
+    """Random and near-multiple monic cubics, real and complex."""
+    for i in range(count):
+        kind = i % 6
+        if kind == 0:
+            yield tuple(complex(x) for x in rng.normal(size=3) * 10 ** rng.uniform(-3, 3, size=3))
+        elif kind == 1:
+            yield tuple(complex(x, y) for x, y in rng.normal(size=(3, 2)))
+        elif kind in (2, 3):
+            # A real double (kind 2) or triple (kind 3) root, split by eps.
+            a, b = rng.normal(size=2)
+            eps = 10 ** rng.uniform(-16, -4)
+            roots = [a, a + eps * rng.normal(), a if kind == 3 else b]
+            yield tuple(complex(x) for x in np.poly(roots)[1:])
+        elif kind == 4:
+            a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+            eps = 10 ** rng.uniform(-16, -4)
+            roots = [a, a + eps * complex(*rng.normal(size=2)), b if rng.random() < 0.5 else a]
+            yield tuple(complex(x) for x in np.poly(roots)[1:])
+        else:
+            # A conjugate pair close to the real axis and to a real root.
+            a, w = rng.normal(), 10 ** rng.uniform(-9, 0)
+            roots = [a + 1j * w, a - 1j * w, a + rng.normal() * 10 ** rng.uniform(-8, 0)]
+            yield tuple(complex(x) for x in np.poly(roots).real[1:])
+
+
+def test_cubic_roots_is_bit_identical_to_the_reference():
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for coeffs in identity_cases(rng, 12_000):
+        got, want = cubic_roots(*coeffs), reference_cubic_roots(*coeffs)
+        # repr tells signed zeros apart.
+        assert repr(got.roots) == repr(want.roots), coeffs
+        assert got.classification is want.classification
+        kinds.add(got.classification)
+    assert kinds == set(RootPattern)
 
 
 class TestSolve3:

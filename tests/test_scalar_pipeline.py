@@ -2,8 +2,8 @@
 
 ``reference_spectrum``, ``reference_fit`` and ``reference_coords`` below are
 a literal copy of the numpy implementation of ``spectral.spectrum``, the
-amplitude fit of ``evolution.solve_ivp`` and ``evolution._coords_at`` that
-the scalar code replaced.  Both sides take their roots from
+amplitude fit of ``evolution.solve_ivp`` and the coordinates behind
+``evolution.trajectory`` that the scalar code replaced.  Both sides take their roots from
 ``char_cubic``/``cubic_roots``, so what is compared is the mode extraction,
 the fit and the trajectory.
 """
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from fgkls.errors import InternalError
-from fgkls.evolution import _coords_at, solve_ivp
+from fgkls.evolution import solve_ivp, trajectory
 from fgkls.generator import build_generator
 from fgkls.model import (
     Canonical,
@@ -23,6 +23,7 @@ from fgkls.model import (
     coords,
     dagger_coords,
     direction_matrix,
+    from_coords,
     from_frame,
     hermitian_span,
 )
@@ -31,9 +32,11 @@ from fgkls.spectral import (
     CHAIN_RTOL,
     GEO_RTOL,
     SpectrumStructure,
+    _chain_solve,
     _closed_form_roots,
     char_cubic,
     cubic_roots,
+    spectrum,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -257,5 +260,33 @@ def test_scalar_pipeline_matches_the_numpy_reference():
             idx += k
         ts = np.asarray(op.ts, dtype=float)
         want = reference_coords(pointer_part, ref_modes, ref_amps, ts)
-        assert np.max(np.abs(_coords_at(sol, ts) - want)) <= 1e-14
+        assert np.max(np.abs(trajectory(sol, ts) - from_coords(want))) <= 1e-14
     assert chain_systems > 500
+
+
+def test_chain_links_depend_only_on_the_system():
+    """Perturbing each entry of B = M - rate I by one relative eps moves no
+    Jordan-chain link by more than 1e-10 relative: each link is the
+    least-squares solution cut at the rank the geometric-multiplicity test
+    decided, not at rounding level."""
+    rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
+    chains = 0
+    for seed in (1, 2, 3):
+        for op in workloads.manifold_ops(seed):
+            spec = op.spec
+            if isinstance(spec.reduction, Canonical):
+                spec = spec.reduction.system
+            m = build_generator(spec).matrix
+            mscale = float(np.linalg.norm(m))
+            for mode in spectrum(spec).modes:
+                if len(mode.vectors) == 1:
+                    continue
+                chains += 1
+                b = m - mode.rate * np.eye(3)
+                for target in mode.vectors[:-1]:
+                    link = _chain_solve(b, target, mscale)
+                    nudged = b * (1.0 + eps * rng.choice([-1.0, 1.0], size=(3, 3)))
+                    moved = _chain_solve(nudged, target, mscale)
+                    assert np.linalg.norm(moved - link) <= 1e-10 * np.linalg.norm(link)
+    assert chains == 864

@@ -336,6 +336,8 @@ def test_large_scaled_gap_keeps_the_real_parts():
     want = sorted(a1.real for _, a1 in weak_rates(spec).branches)
     assert got == pytest.approx(want, abs=1e-9)
     assert assert_stability(md, spec) is StabilityVerdict.ALL_DAMPED
+    # Real parts are judged against the damping scale, not against |s|.
+    assert md.structure is SpectrumStructure.COMPLEX_PAIR_PLUS_REAL
 
 
 class TestChainsAreSolvedOnce:

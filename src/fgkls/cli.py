@@ -25,7 +25,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -195,14 +194,36 @@ def _spectrum_payload(spec: SystemSpec) -> dict:
     }
 
 
-def _evolve_rows(sol, ts) -> list[list]:
-    """CSV rows in TRAJECTORY_HEADER order; the physical flag stays an int."""
+def _evolve_rows(sol, ts) -> list[str]:
+    """CSV lines in TRAJECTORY_HEADER order, without line ends.
+
+    Numbers are written as ``repr``, the shortest text that reads back to
+    the same float, once per distinct value.  ``trajectory`` makes
+    f21 = conj f12 and f22 = 1 - f11 hold exactly and sets both imaginary
+    diagonal parts to +0.0, so f21_re reuses the text of f12_re, f21_im is
+    the text of f12_im with its sign flipped (repr(-x) for every float but
+    nan, whose repr carries no sign) and f11_im, f22_im are the literal 0.0.
+    """
     rhos = evolution.trajectory(sol, ts)
     min_eig = min_eig2(rhos)
-    return np.column_stack((
-        ts, rhos.reshape(len(ts), 4).view(float), det2(rhos), min_eig,
-        (min_eig >= -1e-10).astype(int).astype(object),
-    )).tolist()
+    f12 = rhos[:, 0, 1]
+    f12_im = list(map(repr, f12.imag.tolist()))
+    f21_im = [s[1:] if s[0] == "-" else s if s == "nan" else "-" + s for s in f12_im]
+    flags = ["1" if p else "0" for p in (min_eig >= -1e-10).tolist()]
+    return [
+        f"{t},{f11},0.0,{re},{im},{re},{im21},{f22},0.0,{det},{low},{flag}"
+        for t, f11, re, im, im21, f22, det, low, flag in zip(
+            map(repr, np.asarray(ts, dtype=float).tolist()),
+            map(repr, rhos[:, 0, 0].real.tolist()),
+            map(repr, f12.real.tolist()),
+            f12_im,
+            f21_im,
+            map(repr, rhos[:, 1, 1].real.tolist()),
+            map(repr, det2(rhos).tolist()),
+            map(repr, min_eig.tolist()),
+            flags,
+        )
+    ]
 
 
 def _positivity_payload(spec: SystemSpec, rho0, ts) -> dict:
@@ -339,15 +360,13 @@ def run(job: dict, out_override: str | None = None, seed: int | None = None) -> 
         if fmt != "csv":
             raise SchemaError("$.output.format: evolve emits csv")
         sol = evolution.solve_ivp(spec, rho0)
-        rows = _evolve_rows(sol, ts)
-        stream = open(path, "w", newline="") if path else sys.stdout
-        try:
-            writer = csv.writer(stream)
-            writer.writerow(TRAJECTORY_HEADER)
-            writer.writerows(rows)
-        finally:
-            if path:
-                stream.close()
+        # One write, with the CRLF line ends of the csv module's default dialect.
+        text = "\r\n".join([",".join(TRAJECTORY_HEADER), *_evolve_rows(sol, ts), ""])
+        if path:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
         return EXIT_OK, None
 
     if command == "pointer":

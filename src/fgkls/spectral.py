@@ -124,33 +124,39 @@ def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
     """Monic characteristic cubic of the homogeneous generator.
 
     Coefficients are in the rescaled variable s = rate / c^2 when c > 0 and
-    in the bare rate when c = 0.  The two canonical shapes use their
-    closed-form coefficients, also for a general form that ``canonicalize``
-    reduces; any other general form extracts the characteristic polynomial
-    of the rescaled matrix directly.
+    in the bare rate when c = 0.  A closed system (c = 0) has the exact
+    cubic s (s^2 + (E1 - E2)^2) whatever its shape.  Otherwise the two
+    canonical shapes use their closed-form coefficients, also for a general
+    form that ``canonicalize`` reduces; any other general form extracts the
+    characteristic polynomial of the rescaled matrix directly.
     """
     c = spec.c
+    if c == 0:
+        # A closed system's rates are 0 and +/- i (E1 - E2), with
+        # (E1 - E2)^2 = gap^2 + 4 |h01|^2 in any frame; the exact cubic keeps
+        # their real parts exactly zero, where the numeric one would leave
+        # rounding of order eps |H| for assert_stability to read as growth.
+        (_, h01), _ = spec.hamiltonian.entries
+        return (0j, complex(spec.hamiltonian.gap**2 + 4.0 * abs(h01) ** 2), 0j)
     reduction = spec.reduction
     if isinstance(reduction, Canonical):
         # The rates are frame-invariant, but the Jordan reduction rescales
         # the coupling to c', so s' = rate / c'^2 = s / k with k = (c' / c)^2.
-        k = (reduction.lindblad.c / c) ** 2 if c > 0 else 1.0
+        k = (reduction.lindblad.c / c) ** 2
         p2, p1, p0 = char_cubic(reduction.system)
         return (p2 * k, p1 * k * k, p0 * k**3)
-    if c > 0 and isinstance(spec.lindblad, DiagonalL):
+    if isinstance(spec.lindblad, DiagonalL):
         musq, e12_sq, detune = _diagonal_invariants(spec)
         p1 = 4.0 * e12_sq + detune * detune + 0.25 * musq * musq
         return (complex(musq), complex(p1), complex(2.0 * e12_sq * musq))
-    if c > 0 and isinstance(spec.lindblad, JordanL):
+    if isinstance(spec.lindblad, JordanL):
         gap_sq, coupling_sq = _jordan_invariants(spec)
         return (
             complex(2.0),
             complex(1.25 + gap_sq + 4.0 * coupling_sq),
             complex(0.25 + gap_sq + 2.0 * coupling_sq),
         )
-    m = build_generator(spec).matrix
-    if c > 0:
-        m = m / (c * c)
+    m = build_generator(spec).matrix / (c * c)
     p2 = -np.trace(m)
     p1 = (
         m[0, 0] * m[1, 1]

@@ -1,13 +1,34 @@
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from fgkls.cli import EXIT_CONTRACT, EXIT_OK, EXIT_SCHEMA, TRAJECTORY_HEADER, _evolve_rows, main
+from fgkls.cli import (
+    EXIT_CONTRACT,
+    EXIT_OK,
+    EXIT_SCHEMA,
+    TRAJECTORY_HEADER,
+    _evolve_rows,
+    _matrix_in,
+    complex_out,
+    main,
+    matrix_out,
+    parse_system,
+    parse_time_grid,
+)
 from fgkls.evolution import solve_ivp, trajectory
-from fgkls.model import DiagonalL, Hamiltonian, JordanL, SystemSpec, det2, min_eig2
+from fgkls.model import (
+    DiagonalL,
+    Hamiltonian,
+    JordanL,
+    SystemSpec,
+    as_density,
+    det2,
+    min_eig2,
+)
 from fgkls.sampling import random_density, random_spec
 
 
@@ -15,6 +36,41 @@ def write_job(tmp_path, doc, name="job.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def evolve_job(spec, rho0, points=150):
+    lind = spec.lindblad
+    if isinstance(lind, DiagonalL):
+        lind_doc = {"form": "diagonal", "lambda1": complex_out(lind.lambda1),
+                    "lambda2": complex_out(lind.lambda2)}
+    elif isinstance(lind, JordanL):
+        lind_doc = {"form": "jordan", "lambda": complex_out(lind.lam)}
+    else:
+        lind_doc = {"form": "general", "l": matrix_out(lind.matrix)}
+    lind_doc["c"] = lind.c
+    return {
+        "command": "evolve",
+        "system": {"hamiltonian": matrix_out(spec.hamiltonian.matrix), "lindblad": lind_doc},
+        "initial_state": matrix_out(rho0),
+        "time_grid": {"t_start": 0.0, "t_end": 20.0 / lind.c**2, "points": points},
+    }
+
+
+def csv_writer_reference(doc) -> str:
+    """What csv.writer writes for the job's header and numeric rows, built
+    from the trajectory and its det2 and min_eig2."""
+    ts = parse_time_grid(doc["time_grid"])
+    rho0 = as_density(_matrix_in(doc["initial_state"], "$.initial_state"))
+    rhos = trajectory(solve_ivp(parse_system(doc["system"]), rho0), ts)
+    low = min_eig2(rhos)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(TRAJECTORY_HEADER)
+    for t, entries, det, m in zip(
+        ts.tolist(), rhos.reshape(-1, 4).view(float).tolist(), det2(rhos).tolist(), low.tolist()
+    ):
+        writer.writerow([t, *entries, det, m, int(m >= -1e-10)])
+    return buffer.getvalue()
 
 
 def degenerate_jordan_job(command="pointer", **extra):
@@ -118,21 +174,46 @@ class TestEvolveCommand:
         for spec, rho0 in cases:
             sol = solve_ivp(spec, rho0)
             ts = np.linspace(0.0, 40.0 / spec.c**2, 300)
-            rows = _evolve_rows(sol, ts)
-            assert len(rows) == len(ts)
-            for row, t, rho in zip(rows, ts, trajectory(sol, ts)):
-                assert len(row) == len(TRAJECTORY_HEADER)
+            lines = _evolve_rows(sol, ts)
+            assert len(lines) == len(ts)
+            for line, t, rho in zip(lines, ts, trajectory(sol, ts)):
+                fields = line.split(",")
+                assert len(fields) == len(TRAJECTORY_HEADER)
+                row = [float(x) for x in fields[:11]]
                 assert row[0] == t
                 entries = [z for v in rho.ravel() for z in (v.real, v.imag)]
                 assert np.max(np.abs(np.array(row[1:9]) - entries)) <= 1e-15
                 assert abs(row[9] - det2(rho)) <= 1e-15
                 assert abs(row[10] - min_eig2(rho)) <= 1e-15
-                assert type(row[11]) is int
-                assert row[11] == int(min_eig2(rho) >= -1e-10)
-                flags.add(row[11])
-        assert flags == {0, 1}
-        late = np.array(_evolve_rows(solve_ivp(unital, random_density(rng)), [200.0])[0][1:9])
+                assert fields[11] in ("0", "1")
+                assert fields[11] == str(int(min_eig2(rho) >= -1e-10))
+                flags.add(fields[11])
+        assert flags == {"0", "1"}
+        late_line = _evolve_rows(solve_ivp(unital, random_density(rng)), [200.0])[0]
+        late = np.array([float(x) for x in late_line.split(",")[1:9]])
         assert np.max(np.abs(late - [0.5, 0, 0, 0, 0, 0, 0.5, 0])) < 1e-12
+
+    @pytest.mark.parametrize("case", ["diagonal", "jordan", "general", "zero-coherence"])
+    def test_bytes_match_csv_writer(self, case, rng, tmp_path, capsys):
+        if case == "zero-coherence":
+            # f12 stays exactly +0.0, so f21_im must print as -0.0.
+            spec = SystemSpec(Hamiltonian.diagonal(0.5, -0.2), DiagonalL(0.3 + 0.2j, -0.5, 1.0))
+            rho0 = np.diag([0.3, 0.7]).astype(complex)
+        else:
+            spec, rho0 = random_spec(rng, form=case), random_density(rng)
+        doc = evolve_job(spec, rho0)
+        expected = csv_writer_reference(doc)
+        job = write_job(tmp_path, doc)
+        assert main(["--job", job]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "traj.csv"
+        assert main(["--job", job, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == expected.encode()
+        f21_im = {row[6] for row in csv.reader(io.StringIO(expected))}
+        if case == "zero-coherence":
+            assert f21_im == {"f21_im", "-0.0"}
+        else:
+            assert any(x.startswith("-") for x in f21_im) and any(x[0].isdigit() for x in f21_im)
 
     def test_missing_initial_state_is_schema_error(self, tmp_path, capsys):
         doc = degenerate_jordan_job(command="evolve")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fgkls.generator import build_generator
-from fgkls.model import DiagonalL, Hamiltonian, JordanL, SystemSpec
+from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec
 from fgkls.numerics import cubic_roots
 from fgkls.perturb import weak_rates
-from fgkls.sampling import random_spec
+from fgkls.sampling import random_complex, random_hamiltonian, random_spec
 from fgkls.spectral import (
     SpectrumStructure,
     StabilityVerdict,
@@ -258,6 +258,20 @@ class TestStability:
         md, svals = spectrum_svals(spec)
         assert assert_stability(md, spec) is StabilityVerdict.UNDAMPED
         assert sorted(svals, key=lambda z: z.imag) == pytest.approx([-1j, 0.0, 1j])
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8, 1e12])
+    def test_closed_general_form_stays_undamped_at_large_h(self, rng, scale):
+        # A closed system's rates have real parts exactly zero; a numeric
+        # cubic's rounding of order eps |H| would read as growing modes.
+        for _ in range(50):
+            h = random_hamiltonian(rng, scale)
+            l = np.array([[random_complex(rng) for _ in range(2)] for _ in range(2)])
+            assert np.linalg.norm(l @ l.conj().T - l.conj().T @ l) > 1e-3
+            spec = SystemSpec(h, GeneralL(l, 0.0))
+            md = spectrum(spec)
+            assert md.structure is SpectrumStructure.OSCILLATORY_UNDAMPED
+            assert assert_stability(md, spec) is StabilityVerdict.UNDAMPED
+            assert all(m.rate.real == 0.0 for m in md.modes)
 
 
 def _triple_root_neighbour(eps):

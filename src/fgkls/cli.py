@@ -70,16 +70,27 @@ class SchemaError(ValueError):
     pass
 
 
-def _complex_in(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
+def _is_real(value) -> bool:
+    # JSON true and false arrive as bool, a subclass of int.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _complex_in(value) -> complex:
+    """A number or [re, im] pair; the caller puts the JSON path in front of
+    the message when it re-raises, so paths are formatted only on error."""
+    if _is_real(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and _is_real(value[0]) and _is_real(value[1]):
         return complex(value[0], value[1])
-    raise SchemaError(f"{path}: expected a number or [re, im] pair")
+    raise SchemaError("expected a number or [re, im] pair")
+
+
+def _complex_field(doc, key: str, path: str) -> complex:
+    value = _require(doc, key, path)
+    try:
+        return _complex_in(value)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}.{key}: {exc}") from None
 
 
 def _matrix_in(value, path: str) -> np.ndarray:
@@ -89,7 +100,13 @@ def _matrix_in(value, path: str) -> np.ndarray:
     for i, row in enumerate(value):
         if not (isinstance(row, list) and len(row) == 2):
             raise SchemaError(f"{path}[{i}]: expected a row of two entries")
-        rows.append([_complex_in(row[j], f"{path}[{i}][{j}]") for j in range(2)])
+        entries = []
+        for j, entry in enumerate(row):
+            try:
+                entries.append(_complex_in(entry))
+            except SchemaError as exc:
+                raise SchemaError(f"{path}[{i}][{j}]: {exc}") from None
+        rows.append(entries)
     return np.array(rows, dtype=complex)
 
 
@@ -113,17 +130,17 @@ def parse_system(doc, path: str = "$.system") -> SystemSpec:
     lpath = f"{path}.lindblad"
     form = _require(lind_doc, "form", lpath)
     c_raw = _require(lind_doc, "c", lpath)
-    if not isinstance(c_raw, (int, float)):
+    if not _is_real(c_raw):
         raise SchemaError(f"{lpath}.c: expected a real number")
     c = float(c_raw)
     if form == "diagonal":
         lind = DiagonalL(
-            _complex_in(_require(lind_doc, "lambda1", lpath), f"{lpath}.lambda1"),
-            _complex_in(_require(lind_doc, "lambda2", lpath), f"{lpath}.lambda2"),
+            _complex_field(lind_doc, "lambda1", lpath),
+            _complex_field(lind_doc, "lambda2", lpath),
             c,
         )
     elif form == "jordan":
-        lind = JordanL(_complex_in(_require(lind_doc, "lambda", lpath), f"{lpath}.lambda"), c)
+        lind = JordanL(_complex_field(lind_doc, "lambda", lpath), c)
     elif form == "general":
         lind = GeneralL(_matrix_in(_require(lind_doc, "l", lpath), f"{lpath}.l"), c)
     else:
@@ -132,12 +149,17 @@ def parse_system(doc, path: str = "$.system") -> SystemSpec:
 
 
 def parse_time_grid(doc, path: str = "$.time_grid") -> np.ndarray:
-    t0 = float(doc.get("t_start", 0.0))
-    t1 = float(_require(doc, "t_end", path))
-    points = int(doc.get("points", 200))
+    t1 = _require(doc, "t_end", path)
+    t0 = doc.get("t_start", 0.0)
+    points = doc.get("points", 200)
+    for key, value in (("t_start", t0), ("t_end", t1), ("points", points)):
+        if not _is_real(value):
+            raise SchemaError(f"{path}.{key}: expected a number")
+    if isinstance(points, float) and not points.is_integer():
+        raise SchemaError(f"{path}.points: expected an integer")
     if not (t1 > t0 >= 0.0) or points < 2:
         raise SchemaError(f"{path}: need t_end > t_start >= 0 and points >= 2")
-    return np.linspace(t0, t1, points)
+    return np.linspace(float(t0), float(t1), int(points))
 
 
 def _pointer_payload(result) -> dict:
@@ -309,8 +331,12 @@ def _uniton_payload(spec: SystemSpec) -> dict:
     return out
 
 
-def _oracle_check_payload(spec: SystemSpec, rho0, ts, rng) -> dict:
-    states = [rho0] if rho0 is not None else [random_density(rng) for _ in range(5)]
+def _oracle_check_payload(spec: SystemSpec, rho0, ts, seed) -> dict:
+    if rho0 is None:
+        rng = np.random.default_rng(seed)
+        states = [random_density(rng) for _ in range(5)]
+    else:
+        states = [rho0]
     dt = min(1e-3, 0.05 / max(oracle.stiffness_scale(spec), 1e-6))
     worst = 0.0
     for state in states:
@@ -340,7 +366,6 @@ def run(job: dict, out_override: str | None = None, seed: int | None = None) -> 
     out_doc = job.get("output", {})
     fmt = out_doc.get("format", "csv" if command == "evolve" else "json")
     path = out_override or out_doc.get("path")
-    rng = np.random.default_rng(seed)
 
     rho0 = None
     if "initial_state" in job:
@@ -350,9 +375,10 @@ def run(job: dict, out_override: str | None = None, seed: int | None = None) -> 
     if command in needs_state and rho0 is None:
         raise SchemaError(f"$.initial_state: required for command '{command}'")
 
+    ts = None
     if "time_grid" in job:
         ts = parse_time_grid(job["time_grid"])
-    else:
+    elif command in ("evolve", "positivity", "oracle-check"):
         c2 = spec.c**2
         ts = np.linspace(0.0, 10.0 / c2 if c2 > 0 else 10.0, 400)
 
@@ -380,14 +406,15 @@ def run(job: dict, out_override: str | None = None, seed: int | None = None) -> 
     elif command == "uniton":
         payload = _uniton_payload(spec)
     else:
-        payload = _oracle_check_payload(spec, rho0, ts, rng)
+        payload = _oracle_check_payload(spec, rho0, ts, seed)
 
-    text = json.dumps(payload, indent=2)
+    # Without indent, json.dumps runs the C encoder: one line, default separators.
+    text = json.dumps(payload) + "\n"
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
     return EXIT_OK, payload
 
 

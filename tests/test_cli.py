@@ -18,6 +18,7 @@ from fgkls.cli import (
     matrix_out,
     parse_system,
     parse_time_grid,
+    run,
 )
 from fgkls.evolution import solve_ivp, trajectory
 from fgkls.model import (
@@ -321,10 +322,63 @@ class TestOracleCheckCommand:
             },
             "time_grid": {"t_start": 0.0, "t_end": 6.0, "points": 100},
         }
-        assert main(["--job", write_job(tmp_path, doc), "--seed", "7"]) == EXIT_OK
-        payload = json.loads(capsys.readouterr().out)
+        job = write_job(tmp_path, doc)
+        assert main(["--job", job, "--seed", "7"]) == EXIT_OK
+        first = capsys.readouterr().out
+        payload = json.loads(first)
         assert payload["max_deviation"] < 1e-6
         assert payload["states_checked"] == 5
+        assert main(["--job", job, "--seed", "7"]) == EXIT_OK
+        assert capsys.readouterr().out == first  # the seed fixes the drawn states
+
+
+# One job per command that writes JSON.
+JSON_JOBS = {
+    "pointer": degenerate_jordan_job(),
+    "spectrum": degenerate_jordan_job("spectrum"),
+    "positivity": degenerate_jordan_job(
+        "positivity", initial_state=[[0.9, [0.1, 0.05]], [[0.1, -0.05], 0.1]]
+    ),
+    "perturb": {
+        "command": "perturb",
+        "system": {
+            "hamiltonian": [[1.0, 0.0], [0.0, 0.0]],
+            "lindblad": {"form": "jordan", "c": 0.1, "lambda": [0.8, 0.3]},
+        },
+    },
+    "uniton": degenerate_jordan_job("uniton"),
+    "oracle-check": degenerate_jordan_job(
+        "oracle-check",
+        initial_state=[[0.0, 0.0], [0.0, 1.0]],
+        time_grid={"t_start": 0.0, "t_end": 1.0, "points": 2},
+    ),
+}
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("command", sorted(JSON_JOBS))
+    def test_one_line_that_parses_to_the_payload(self, command, tmp_path, capsys):
+        code, payload = run(JSON_JOBS[command])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out) == payload
+
+        path = tmp_path / "out.json"
+        job = write_job(tmp_path, JSON_JOBS[command])
+        assert main(["--job", job, "--out", str(path)]) == EXIT_OK
+        text = path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == payload
+
+    @pytest.mark.parametrize("command", ["pointer", "spectrum", "perturb", "uniton"])
+    def test_no_rng_or_time_grid_without_a_reader(self, command, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"'{command}' reads neither random states nor a time grid")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        assert run(JSON_JOBS[command], seed=1)[0] == EXIT_OK
 
 
 class TestErrors:
@@ -350,6 +404,44 @@ class TestErrors:
         doc["system"]["hamiltonian"][0][0] = [1.0, 0.0, 0.0]
         assert main(["--job", write_job(tmp_path, doc)]) == EXIT_SCHEMA
         assert "hamiltonian" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid, field",
+        [
+            ({"t_end": "abc"}, "t_end"),
+            ({"t_end": None}, "t_end"),
+            ({"t_end": True}, "t_end"),
+            ({"t_start": [0.0], "t_end": 5.0}, "t_start"),
+            ({"t_end": 5.0, "points": "x"}, "points"),
+            ({"t_end": 5.0, "points": 2.7}, "points"),
+        ],
+    )
+    def test_malformed_time_grid(self, grid, field, tmp_path, capsys):
+        doc = degenerate_jordan_job(time_grid=grid)
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_SCHEMA
+        assert f"$.time_grid.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where, path",
+        [
+            (("hamiltonian", 0, 0), "$.system.hamiltonian[0][0]"),
+            (("lindblad", "lambda1"), "$.system.lindblad.lambda1"),
+            (("lindblad", "lambda2", 1), "$.system.lindblad.lambda2"),
+            (("lindblad", "c"), "$.system.lindblad.c"),
+        ],
+    )
+    def test_boolean_is_not_a_number(self, where, path, tmp_path, capsys):
+        doc = degenerate_jordan_job()
+        doc["system"]["lindblad"] = {
+            "form": "diagonal", "c": 1.0, "lambda1": [0.4, 0.2], "lambda2": [0.1, 0.0]
+        }
+        *parents, key = where
+        target = doc["system"]
+        for name in parents:
+            target = target[name]
+        target[key] = True
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_SCHEMA
+        assert path in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["--job", str(tmp_path / "nope.json")]) == EXIT_SCHEMA

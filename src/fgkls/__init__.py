@@ -29,7 +29,6 @@ from .model import (
     Hamiltonian,
     JordanL,
     LindbladForm,
-    NonCanonical,
     SystemSpec,
     canonicalize,
     gauge_shift,
@@ -57,6 +56,6 @@ from .spectral import (
     char_cubic,
     spectrum,
 )
-from .uniton import AllStates, NoUnitons, StationaryPointerOnly, classify_unitons, uniton_tensor
+from .uniton import AllStates, NoUnitons, StationaryPointerOnly, classify_unitons
 
 __version__ = "0.1.0"

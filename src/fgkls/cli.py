@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -153,8 +154,9 @@ def parse_time_grid(doc, path: str = "$.time_grid") -> np.ndarray:
     t0 = doc.get("t_start", 0.0)
     points = doc.get("points", 200)
     for key, value in (("t_start", t0), ("t_end", t1), ("points", points)):
-        if not _is_real(value):
-            raise SchemaError(f"{path}.{key}: expected a number")
+        # json.load reads the literals Infinity and NaN as floats.
+        if not (_is_real(value) and math.isfinite(value)):
+            raise SchemaError(f"{path}.{key}: expected a finite number")
     if isinstance(points, float) and not points.is_integer():
         raise SchemaError(f"{path}.points: expected an integer")
     if not (t1 > t0 >= 0.0) or points < 2:
@@ -364,7 +366,11 @@ def run(job: dict, out_override: str | None = None, seed: int | None = None) -> 
     spec = parse_system(_require(job, "system", "$"))
 
     out_doc = job.get("output", {})
-    fmt = out_doc.get("format", "csv" if command == "evolve" else "json")
+    if not isinstance(out_doc, dict):
+        raise SchemaError("$.output: expected an object")
+    emits = "csv" if command == "evolve" else "json"
+    if out_doc.get("format", emits) != emits:
+        raise SchemaError(f"$.output.format: {command} emits {emits}")
     path = out_override or out_doc.get("path")
 
     rho0 = None
@@ -383,8 +389,6 @@ def run(job: dict, out_override: str | None = None, seed: int | None = None) -> 
         ts = np.linspace(0.0, 10.0 / c2 if c2 > 0 else 10.0, 400)
 
     if command == "evolve":
-        if fmt != "csv":
-            raise SchemaError("$.output.format: evolve emits csv")
         sol = evolution.solve_ivp(spec, rho0)
         # One write, with the CRLF line ends of the csv module's default dialect.
         text = "\r\n".join([",".join(TRAJECTORY_HEADER), *_evolve_rows(sol, ts), ""])

@@ -1,31 +1,36 @@
 """Domain types for a driven two-level open system.
 
 A system is a Hermitian Hamiltonian plus a single Lindblad operator
-L = c * l with real coupling c >= 0.  The small matrix l is carried in one
-of three shapes: diagonal, Jordan block (lambda * I + sigma_plus), or a
-general 2x2.  ``canonicalize`` reduces a raw l to one of the first two
-whenever a unitary change of basis can do it.
+L = c * l with real coupling c >= 0.  The small matrix l is given in one of
+three input forms: diagonal, Jordan block (lambda * I + sigma_plus), or a
+general 2x2.  ``canonicalize`` takes every form to one canonical system
+(H', c', x, t) and a frame U: the scalar part of l moves into H', and a
+Schur rotation brings the rest to c' [[x, t], [0, -x]] with real x, t >= 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ContractError, InputError
 from .numerics import eigvec_unitary, finite_matrix, schur2, unit_scaled
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 HERMITICITY_ATOL = 1e-14
-NORMALITY_RTOL = 1e-10
-# Non-normal l is a Jordan block when its eigenvalue discriminant
-# (l00 - l11)^2 + 4 l01 l10 is below JORDAN_RTOL * ||l - (tr l / 2) I||^2.
-JORDAN_RTOL = 1e-10
+# Rounding level of the shape decisions on a general l, relative to its
+# largest entry (see ``_general_shape``).
+SHAPE_RTOL = 64 * sys.float_info.epsilon
+# The closed forms take up to the sixth power of H' / c'^2 (the cubic's
+# discriminant), so its entries must stay below the sixth root of the
+# largest float.
+SCALED_MAX = sys.float_info.max ** (1.0 / 6.0)
 
 
 def _finite_complex(z, name: str) -> complex:
@@ -171,37 +176,35 @@ class SystemSpec:
         return self.lindblad.c
 
     @cached_property
-    def reduction(self) -> Canonical | NonCanonical | None:
-        """``canonicalize`` of a GeneralL form, computed once per spec; None
-        for the diagonal and Jordan shapes, which are canonical already."""
-        if not isinstance(self.lindblad, GeneralL):
-            return None
-        return canonicalize(self.lindblad.matrix, self.lindblad.c, self.hamiltonian)
+    def canonical(self) -> Canonical:
+        """``canonicalize`` of this spec, computed once (c > 0 only)."""
+        return canonicalize(self)
 
 
 @dataclass(frozen=True, eq=False)
 class Canonical:
-    """Result of a successful reduction to diagonal or Jordan shape.
+    """The canonical system (H', c', x, t) of a spec and its frame U.
 
-    ``basis`` is the unitary U with rho' = U^dag rho U; the returned
-    Hamiltonian and Lindblad form live in the primed frame.
+    With mu = tr l / 2 and l0 = l - mu I, the coupling L = c (mu I + l0)
+    gives the same equation as c l0 under H' = H + (i c^2 / 2)(conj(mu) l0 -
+    mu l0^dag): the Lindblad form is not unique.  The unitary U and a phase
+    of L bring l0 to (c' / c) [[x, t], [0, -x]] with real x, t >= 0 and
+    x^2 + t^2 = 1; a scalar l has x = t = 0 and c' = c.  t = 0 is the
+    diagonal shape and x = 0 the Jordan shape.
+
+    ``gap`` and ``h01`` are the level gap and (0, 1) entry of U^dag H U,
+    ``gauge`` those of the gauge term over c'^2, ``scaled`` those of
+    H' / c'^2, and ``basis`` is U (rho' = U^dag rho U), or None for U = I.
     """
 
-    lindblad: LindbladForm
-    hamiltonian: Hamiltonian
-    basis: np.ndarray
-
-    @cached_property
-    def system(self) -> SystemSpec:
-        return SystemSpec(self.hamiltonian, self.lindblad)
-
-
-@dataclass(frozen=True, eq=False)
-class NonCanonical:
-    """Non-normal l with distinct eigenvalues: no unitary reduction exists,
-    downstream code takes the general numeric path."""
-
-    lindblad: GeneralL
+    c: float
+    x: float
+    t: float
+    gap: float
+    h01: complex
+    gauge: tuple[float, complex]
+    scaled: tuple[float, complex]
+    basis: np.ndarray | None
 
 
 def to_frame(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -221,45 +224,73 @@ def from_frame_hermitian(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return 0.5 * (r + r.conj().T)
 
 
-def canonicalize(l_raw, c: float, hamiltonian: Hamiltonian) -> Canonical | NonCanonical:
-    """Reduce a raw Lindblad matrix to diagonal or Jordan shape if possible.
+def _general_shape(l0: np.ndarray, lmax: float) -> tuple[complex, complex, float, np.ndarray]:
+    """(x, t, s, U) with U^dag l0 U = s [[x, t], [~0, -x]] for a traceless
+    2x2 matrix l0 != 0, before phases and normalization.
 
-    Normal l is unitarily diagonalized.  Non-normal l with a vanishing
-    eigenvalue discriminant is brought to Schur form around its double
-    eigenvalue tr(l) / 2; the off-diagonal phase is absorbed into a diagonal
-    unitary and its magnitude |t| into the coupling (c' = c |t|,
-    lambda' = lambda / |t|).  Non-normal l with distinct eigenvalues cannot
-    be reduced by a unitary and comes back NonCanonical.
+    The decisions are taken on l0 / s, whose largest entry is O(1), against
+    the rounding that entries of size lmax leave there: t is zero (l0 is
+    normal) below that level, and so is x when its square, the eigenvalue
+    discriminant, is (rounding of eps moves x by about sqrt(eps)).  Then the
+    eigenvector at the exact mean 0 leaves a residual of the size of the
+    discriminant, where a split eigenvalue would leave its square root.
     """
-    l_raw = finite_matrix(l_raw)
-    c = _check_coupling(c)
-    # Decide on n = l / max|l|, where no square under- or overflows.  n is
-    # normal iff [n, n^dag] = 0.  With n - (tr n / 2) I = [[x, b], [g, -x]],
-    # its eigenvalues coincide iff their discriminant 4 (x^2 + b g) is 0.
-    _, n = unit_scaled(l_raw)
-    n_dag = n.conj().T
-    if np.linalg.norm(n @ n_dag - n_dag @ n) <= NORMALITY_RTOL * np.linalg.norm(n) ** 2:
-        u, t = schur2(l_raw)
-        # Schur of a (near-)normal matrix is diagonal; drop the residual.
-        lam1, lam2 = complex(t[0, 0]), complex(t[1, 1])
-        h_new = Hamiltonian(u.conj().T @ hamiltonian.matrix @ u)
-        return Canonical(DiagonalL(lam1, lam2, c), h_new, u)
+    scale, n = unit_scaled(l0)
+    (e, b), (g, _) = n.tolist()
+    tol = SHAPE_RTOL * lmax / scale
+    coincide = abs(e * e + b * g) <= tol
+    u = eigvec_unitary(n, 0.0) if coincide else schur2(n)[0]
+    (x, t), _ = (u.conj().T @ n @ u).tolist()
+    return (0j if coincide else x), (0j if abs(t) <= tol else t), scale, u
 
-    (a, b), (g, d) = n.tolist()
-    x = (a - d) / 2.0
-    if abs(4.0 * (x * x + b * g)) < JORDAN_RTOL * (2.0 * abs(x) ** 2 + abs(b) ** 2 + abs(g) ** 2):
-        # The eigenvector at the exact mean tr(l) / 2 leaves a residual of
-        # order disc, where the split computed eigenvalues would leave one
-        # of order sqrt(disc).
-        u0 = eigvec_unitary(n, (a + d) / 2.0)
-        off = complex((u0.conj().T @ l_raw @ u0)[0, 1])
-        # Non-normal with equal eigenvalues forces a nonzero Schur coupling.
-        u = u0 @ np.diag([1.0, abs(off) / off])
-        lam = complex(l_raw[0, 0] + l_raw[1, 1]) / 2.0
-        h_new = Hamiltonian(u.conj().T @ hamiltonian.matrix @ u)
-        return Canonical(JordanL(lam / abs(off), c * abs(off)), h_new, u)
 
-    return NonCanonical(GeneralL(l_raw, c))
+def canonicalize(spec: SystemSpec) -> Canonical:
+    """The canonical system (H', c', x, t) and frame U of a spec with c > 0.
+
+    A ``DiagonalL`` or ``JordanL`` shape is exact and keeps U = I; the
+    shape of a ``GeneralL`` is decided at the rounding level of its
+    entries.  Raises ``ContractError`` when c'^2 is not a normal float or
+    H' / c'^2 is out of the range the closed forms can take.
+    """
+    form, c = spec.lindblad, spec.c
+    (a, b), (g, d) = form.entries
+    mu = (a + d) / 2.0
+    # l0 = scale [[x, t], [~0, -x]] in the frame basis (None: U = I).
+    x, t, scale, basis = (a - d) / 2.0, 0j, 1.0, None
+    if isinstance(form, JordanL):
+        x, t = 0j, 1 + 0j
+    elif isinstance(form, GeneralL):
+        lmax = max(abs(a), abs(b), abs(g), abs(d))
+        if max(abs(x), abs(b), abs(g)) > SHAPE_RTOL * lmax:
+            x, t, scale, basis = _general_shape(np.array([[x, b], [g, -x]]), lmax)
+        else:
+            x, basis = 0j, np.eye(2, dtype=complex)
+    norm = math.hypot(abs(x), abs(t))
+    if norm == 0.0:
+        # Scalar l: the dissipator vanishes and so does the gauge term.
+        c_new, x, t, gauge = c, 0.0, 0.0, (0.0, 0j)
+    else:
+        # A phase of L makes x real and nonnegative, one of the second
+        # basis vector makes t so.
+        phase = x / abs(x) if x else 1.0
+        turn = abs(t) * phase / t if t else 1.0
+        if turn != 1.0:
+            basis = (np.eye(2, dtype=complex) if basis is None else basis) * [1.0, turn]
+        m = mu * phase.conjugate() / (scale * norm)
+        c_new, x, t = c * scale * norm, abs(x) / norm, abs(t) / norm
+        gauge = (2.0 * x * m.imag, 0.5j * m.conjugate() * t)
+    if basis is None:
+        (h00, h01), (_, h11) = spec.hamiltonian.entries
+    else:
+        (h00, h01), (_, h11) = (basis.conj().T @ spec.hamiltonian.matrix @ basis).tolist()
+    gap = h00.real - h11.real
+    c2 = c_new * c_new
+    if not sys.float_info.min <= c2 < math.inf:
+        raise ContractError(f"c'^2 = {c2!r} is not a normal float")
+    scaled = (gap / c2 + gauge[0], h01 / c2 + gauge[1])
+    if not (abs(scaled[0]) <= SCALED_MAX and abs(scaled[1]) <= SCALED_MAX):
+        raise ContractError("H' / c'^2 is beyond the range of the closed forms")
+    return Canonical(c_new, x, t, gap, h01, gauge, scaled, basis)
 
 
 def gauge_shift(hamiltonian: Hamiltonian, lam: complex, c: float) -> Hamiltonian:

@@ -4,9 +4,11 @@ The integrator never touches the spectral machinery.  It probes the
 right-hand side at basis states to recover the (exactly affine) field on
 (f11, f12, f21) and then applies the classical 4th-order step, itself an
 affine map x -> P x + r.  s steps compose into the stride map
-x -> P^s x + (sum_{i<s} P^i) r, applied once per recorded sample; this
-reproduces the literal RK4 sequence up to rounding at a fraction of the
-cost.  Trace is never renormalized: drift is a measured diagnostic.
+x -> P^s x + (sum_{i<s} P^i) r, and the recorded samples follow by
+doubling: with A the augmented stride map, samples [h, 2h) are A^h times
+samples [0, h).  This reproduces the literal RK4 sequence up to rounding
+at a fraction of the cost.  Trace is never renormalized: drift is a
+measured diagnostic.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .generator import rhs
 from .model import SystemSpec, as_density, coords, det2, from_coords
 
 DEFAULT_DT = 1e-3
+# Interior points of each det_scan refinement grid.
+REFINE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -41,11 +45,27 @@ class IntegratorConfig:
             raise ConfigError("record_stride must be >= 1")
 
 
+def _norm2(m) -> float:
+    """Largest singular value of a 2x2 matrix given as rows of Python
+    scalars, in closed form on the matrix scaled like ``unit_scaled``, so
+    that no square under- or overflows."""
+    entries = [z for row in m for z in row]
+    top = max(map(abs, entries))
+    if top == 0.0:
+        return 0.0
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    a, b, g, d = (complex(z.real / scale, z.imag / scale) for z in entries)
+    frob2 = sum(abs(z) ** 2 for z in (a, b, g, d))
+    det = abs(a * d - b * g)
+    # sigma_max^2 = (F^2 + sqrt(F^4 - 4 |det|^2)) / 2, the difference factored.
+    disc = max(0.0, (frob2 - 2.0 * det) * (frob2 + 2.0 * det))
+    return scale * math.sqrt(0.5 * (frob2 + math.sqrt(disc)))
+
+
 def stiffness_scale(spec: SystemSpec) -> float:
     """max(||H||, c^2 ||l||^2) in the operator norm."""
-    h_norm = float(np.linalg.norm(spec.hamiltonian.matrix, ord=2))
-    l_norm = float(np.linalg.norm(spec.lindblad.small_l(), ord=2))
-    return max(h_norm, spec.c * spec.c * l_norm * l_norm)
+    l_norm = _norm2(spec.lindblad.entries)
+    return max(_norm2(spec.hamiltonian.entries), spec.c * spec.c * l_norm * l_norm)
 
 
 def _affine_field(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -107,12 +127,23 @@ def integrate(
     steps = list(range(0, n_steps + 1, stride))
     if steps[-1] != n_steps:
         steps.append(n_steps)
-    p_s, r_s = _power_map(p, r, stride)
-    xs = [coords(rho0)]
-    for k0, k1 in zip(steps, steps[1:]):
-        p_k, r_k = (p_s, r_s) if k1 - k0 == stride else _power_map(p, r, k1 - k0)
-        xs.append(p_k @ xs[-1] + r_k)
-    return np.array(steps) * cfg.dt, from_coords(np.array(xs))
+    # Rows of xs are augmented samples (f11, f12, f21, 1) at whole strides.
+    full = n_steps // stride + 1
+    xs = np.empty((len(steps), 4), dtype=complex)
+    xs[0, :3] = coords(rho0)
+    xs[0, 3] = 1.0
+    aug = np.eye(4, dtype=complex)
+    aug[:3, :3], aug[:3, 3] = _power_map(p, r, stride)
+    done = 1
+    while done < full:
+        m = min(done, full - done)
+        xs[done : done + m] = xs[:m] @ aug.T
+        aug = aug @ aug
+        done += m
+    if full < len(steps):
+        p_k, r_k = _power_map(p, r, n_steps - steps[-2])
+        xs[-1, :3] = p_k @ xs[-2, :3] + r_k
+    return np.array(steps) * cfg.dt, from_coords(xs[:, :3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +202,11 @@ def det_scan(states_fn, t_grid, t_tol: float = 1e-8, det_tol: float = 1e-12):
     """Earliest time from which det rho(t) stays nonnegative on the grid.
 
     ``states_fn`` maps an array of times to the stack of states there; the
-    grid takes one call, each bisection step a call with one time.  Returns
-    0.0 when the determinant never goes negative, None when it is still
-    negative at the end of the horizon, and otherwise the crossing time
-    refined by bisection to t_tol.
+    grid takes one call, and each refinement one call on REFINE_POINTS
+    interior points of the bracket, which then shrinks to the last negative
+    sample and the one after it.  Returns 0.0 when the determinant never
+    goes negative, None when it is still negative at the end of the
+    horizon, and otherwise the crossing time refined to t_tol.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     neg = det2(states_fn(t_grid)) < -det_tol
@@ -185,9 +217,11 @@ def det_scan(states_fn, t_grid, t_tol: float = 1e-8, det_tol: float = 1e-12):
         return None
     lo, hi = float(t_grid[last_neg]), float(t_grid[last_neg + 1])
     while hi - lo > t_tol:
-        mid = 0.5 * (lo + hi)
-        if det2(states_fn(np.array([mid]))[0]) < -det_tol:
-            lo = mid
-        else:
-            hi = mid
+        sub = np.linspace(lo, hi, REFINE_POINTS + 2)[1:-1]
+        neg = np.nonzero(det2(states_fn(sub)) < -det_tol)[0]
+        k = int(neg[-1]) if len(neg) else -1
+        if k >= 0:
+            lo = float(sub[k])
+        if k + 1 < len(sub):
+            hi = float(sub[k + 1])
     return 0.5 * (lo + hi)

@@ -1,13 +1,13 @@
 """Stationary states (pointers) of the two-level master equation.
 
-The stationary set of the affine flow on (f11, f12, f21) is a point, a
-line, or a higher-dimensional family depending on the Lindblad shape:
+Every system is solved in its canonical form (H', c', x, t) and mapped
+back through the frame U.  The stationary set of the affine flow on
+(f11, f12, f21) is then
 
-* diagonal L splits four ways on eps_21 and lambda1 - lambda2,
-* Jordan L always has a single closed-form pointer (c > 0),
-* general L is solved in its canonical frame and mapped back when
-  ``canonicalize`` reduces it; otherwise it goes through the numeric 3x3
-  solve with nullspace extraction.
+* for t = 0 (diagonal l), split four ways on eps_21 and x,
+* for t > 0, one closed-form pointer: a non-normal l and its adjoint
+  generate all 2x2 matrices, so the stationary state is unique (Spohn,
+  Lett. Math. Phys. 2, 1977); x = 0 is the Jordan shape.
 
 c = 0 means closed Liouville dynamics: stationary states exist but nothing
 is attracting, reported as ``NoAttractor``.
@@ -20,20 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numerics
-from .generator import build_generator, rhs
-from .model import (
-    Canonical,
-    DiagonalL,
-    JordanL,
-    SystemSpec,
-    dagger_coords,
-    det2,
-    direction_matrix,
-    from_coords,
-    from_frame_hermitian,
-    hermitian_span,
-)
+from .generator import rhs
+from .model import Canonical, SystemSpec, det2, from_frame_hermitian
 from .numerics import COINCIDENCE_RTOL
 
 _IDENTITY_HALF = np.eye(2, dtype=complex) / 2.0
@@ -135,24 +123,6 @@ def _is_negligible(value: complex, *scales: float) -> bool:
     return abs(value) < COINCIDENCE_RTOL * max(1.0, *scales)
 
 
-def _general_pointer(spec: SystemSpec) -> PointerResult:
-    gen = build_generator(spec)
-    result = numerics.solve3(gen.matrix, -gen.inhom)
-    if isinstance(result, numerics.UniqueSolution):
-        x = 0.5 * (result.x + dagger_coords(result.x))
-        return UniquePointer(from_coords(x), label="general numeric")
-    if isinstance(result, numerics.Inconsistent):
-        return NoAttractor("stationary system numerically inconsistent")
-    x = 0.5 * (result.particular + dagger_coords(result.particular))
-    base = from_coords(x)
-    dirs = hermitian_span([direction_matrix(v) for v in result.nullspace])
-    if len(dirs) == 0:
-        return UniquePointer(base, label="general numeric")
-    if len(dirs) == 1:
-        return LineFamily(base=base, direction=dirs[0])
-    return FullFamily(base=base, directions=tuple(dirs))
-
-
 def _from_frame_pointer(result: PointerResult, basis: np.ndarray) -> PointerResult:
     """Map a canonical-frame result back to the caller's frame.  The diagonal
     family is diagonal only in the canonical frame; elsewhere it is a line."""
@@ -175,72 +145,71 @@ def _from_frame_pointer(result: PointerResult, basis: np.ndarray) -> PointerResu
     return result
 
 
-def compute_pointer(spec: SystemSpec) -> PointerResult:
-    """Stationary-state classification for a system specification.
+def canonical_pointer(
+    canon: Canonical, gap: float, h01: complex, scaled: tuple[float, complex], hscale: float
+) -> PointerResult:
+    """Pointer of a canonical system in its own frame, on Python scalars.
 
-    Diagonal form follows the four-way case split on eps_21 and
-    lambda1 - lambda2; Jordan form evaluates the closed-form pointer;
-    general form is solved in its canonical frame when it has one, and
-    through the 3x3 stationary system numerically otherwise.
+    ``gap`` and ``h01`` are those of the Hamiltonian without the gauge term,
+    ``scaled`` those of H' / c'^2 and ``hscale`` the norm of H: the t = 0
+    split reads the former, the t > 0 pointer the latter.
     """
-    c = spec.c
-    if c == 0.0:
-        return NoAttractor("closed system (c = 0): Liouville evolution has no attractor")
-
-    reduction = spec.reduction
-    if isinstance(reduction, Canonical):
-        return _from_frame_pointer(compute_pointer(reduction.system), reduction.basis)
-
-    form = spec.lindblad
-    # The canonical branches run on Python scalars: numpy's per-call
-    # overhead would cost more than the arithmetic on four entries.
-    (h00, h01), (h10, h11) = spec.hamiltonian.entries
-    hscale = math.hypot(h00.real, h11.real, h01.real, h01.imag, h10.real, h10.imag)
-    gap = spec.hamiltonian.gap
-
-    if isinstance(form, DiagonalL):
-        lam1, lam2 = form.lambda1, form.lambda2
-        lam_equal = _is_negligible(lam1 - lam2, abs(lam1), abs(lam2))
-        eps21_zero = _is_negligible(h10, hscale)
-        if not eps21_zero and not lam_equal:
+    x, t = canon.x, canon.t
+    if t == 0.0:
+        eps21_zero = _is_negligible(h01, hscale)
+        if not eps21_zero and x != 0.0:
             return UniquePointer(_IDENTITY_HALF.copy(), label="maximally mixed")
         if eps21_zero:
-            c2 = c * c
-            bval = (
-                -1j * gap / c2
-                + lam1 * lam2.conjugate()
-                - 0.5 * (abs(lam1) ** 2 + abs(lam2) ** 2)
-            )
-            if _is_negligible(bval, hscale / c2, abs(lam1) ** 2, abs(lam2) ** 2):
+            # The coherences decay at 2 x^2 + i gap / c^2: nothing decays
+            # when l is scalar and H degenerate.
+            if x == 0.0 and _is_negligible(gap, hscale):
                 return FullFamily.whole_state_space()
             return DiagonalFamily()
-        # lambda1 == lambda2 with eps21 != 0: L is scalar, the dissipator
-        # vanishes, and the states commuting with H form a line along the
-        # traceless part of H.
+        # Scalar L with eps21 != 0: the dissipator vanishes, and the states
+        # commuting with H form a line along the traceless part of H.
         half_gap = 0.5 * gap
-        norm = math.hypot(half_gap, half_gap, abs(h01), abs(h10))
+        norm = math.hypot(half_gap, half_gap, abs(h01), abs(h01))
         return LineFamily(
             base=_IDENTITY_HALF.copy(),
-            direction=np.array([[half_gap / norm, h01 / norm], [h10 / norm, -half_gap / norm]]),
+            direction=np.array(
+                [[half_gap / norm, h01 / norm], [h01.conjugate() / norm, -half_gap / norm]]
+            ),
         )
+    # The stationary point of the canonical generator, with n1 + n2 = 2 p0
+    # (p0 the cubic's constant term) and every sum free of cancellation:
+    # f11 = n1 / (n1 + n2), f22 = n2 / (n1 + n2).
+    g, h = scaled
+    re, im = h.real, h.imag
+    xt, t2 = x * t, t * t
+    a = 2.0 * x * x + 0.5 * t2
+    n1 = (
+        a * (xt - 2.0 * im) ** 2
+        + a * t2 * t2
+        + 2.0 * (t * g - 2.0 * x * re) ** 2
+        + 2.0 * t2 * re * re
+    )
+    n2 = a * ((xt + 2.0 * im) ** 2 + 4.0 * re * re)
+    total = n1 + n2
+    diff = a * t2 * t2 + 2.0 * t2 * g * g - 8.0 * xt * (a * im + g * re)
+    f12 = (1j * h * diff - 0.5 * xt * (n1 + 3.0 * n2)) / ((a + 1j * g) * total)
+    rho = np.array([[n1 / total, f12], [f12.conjugate(), n2 / total]], dtype=complex)
+    if x != 0.0:
+        return UniquePointer(rho, label="non-normal unique")
+    if _is_negligible(h01, hscale) and _is_negligible(gap, hscale):
+        return UniquePointer(rho, label="degenerate-H Jordan")
+    return UniquePointer(rho, label="Jordan unique")
 
-    if isinstance(form, JordanL):
-        c2 = c * c
-        a = 1j * h10 / c2 + 0.5 * form.lam
-        b = -0.5 - 1j * gap / c2
-        a2 = abs(a) ** 2
-        b2 = abs(b) ** 2
-        inv = 1.0 / (2.0 * a2 + b2)
-        rho = np.array(
-            [[(a2 + b2) * inv, a.conjugate() * b.conjugate() * inv], [a * b * inv, a2 * inv]],
-            dtype=complex,
-        )
-        label = "Jordan unique"
-        if _is_negligible(h01, hscale) and _is_negligible(gap, hscale):
-            label = "degenerate-H Jordan"
-        return UniquePointer(rho, label=label)
 
-    return _general_pointer(spec)
+def compute_pointer(spec: SystemSpec) -> PointerResult:
+    """Stationary-state classification for a system specification, from
+    its canonical form (see ``canonical_pointer``)."""
+    if spec.c == 0.0:
+        return NoAttractor("closed system (c = 0): Liouville evolution has no attractor")
+    canon = spec.canonical
+    (h00, h01), (h10, h11) = spec.hamiltonian.entries
+    hscale = math.hypot(h00.real, h11.real, h01.real, h01.imag, h10.real, h10.imag)
+    result = canonical_pointer(canon, canon.gap, canon.h01, canon.scaled, hscale)
+    return result if canon.basis is None else _from_frame_pointer(result, canon.basis)
 
 
 def pointer_residual(spec: SystemSpec, rho: np.ndarray) -> float:

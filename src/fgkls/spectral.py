@@ -1,15 +1,14 @@
 """Characteristic cubic, mode decomposition and stability of the generator.
 
 The homogeneous flow on (f11, f12, f21) is governed by a 3x3 matrix whose
-characteristic polynomial has real coefficients.  For c > 0 the roots are
-reported in the rescaled variable s = rate / c^2; the closed-form
-coefficients for the two canonical Lindblad shapes are used where
-available, and the measure-zero coinciding-root branches (which turn
-exponentials into exponentials times polynomials) are recognized from
-closed-form conditions in parameter space, where detection is
-well-conditioned even though the roots themselves are not.  A general
-form that ``canonicalize`` reduces is solved in its canonical frame and
-mapped back.
+characteristic polynomial has real coefficients.  For c > 0 every system
+is solved in its canonical form (H', c', x, t): the generator, its cubic in
+s = rate / c'^2 and the measure-zero coinciding-root branches of the
+diagonal (t = 0) and Jordan (x = 0) shapes (which turn exponentials into
+exponentials times polynomials) are closed forms in (H' / c'^2, x, t); the
+branches are recognized from conditions in parameter space, where
+detection is well-conditioned even though the roots themselves are not.
+Modes are mapped back through the frame U.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from .errors import InternalError
 from .generator import build_generator
 from .model import (
     Canonical,
-    DiagonalL,
-    JordanL,
     SystemSpec,
     coords,
     dagger_coords,
@@ -33,7 +30,7 @@ from .model import (
     from_frame,
     hermitian_span,
 )
-from .numerics import cubic_roots, det3, scalar_norm
+from .numerics import cubic_roots, scalar_norm
 
 # Branch conditions are exact equalities; they are accepted when satisfied
 # to this absolute defect on O(1)-normalized data.
@@ -101,23 +98,42 @@ class ModeDecomposition:
         return [(m.rate / scale, len(m.vectors)) for m in self.modes]
 
 
-def _jordan_invariants(spec: SystemSpec) -> tuple[float, float]:
-    """(squared scaled level gap, squared coupling) for the Jordan shape."""
-    h10 = spec.hamiltonian.entries[1][0]
-    c2 = spec.c * spec.c
-    gap_sq = (spec.hamiltonian.gap / c2) ** 2
-    coupling_sq = abs(0.5 * spec.lindblad.lam + 1j * h10 / c2) ** 2
-    return gap_sq, coupling_sq
+def _canonical_cubic(canon: Canonical) -> tuple[float, float, float]:
+    """Monic characteristic cubic of the canonical generator in s = rate / c'^2.
+
+    With a = 2 x^2 + t^2 / 2 the coherence damping and (g, h) the gap and
+    (0, 1) entry of H' / c'^2, the constant term is a sum of squares.
+    """
+    x, t = canon.x, canon.t
+    g, h = canon.scaled
+    re, im = h.real, h.imag
+    x2, t2, h2 = x * x, t * t, re * re + im * im
+    a = 2.0 * x2 + 0.5 * t2
+    p1 = a * a + g * g + 4.0 * h2 + t2 * t2 + 3.0 * x2 * t2
+    p0 = (
+        a * t2 * (x2 + 0.5 * t2)
+        + (t * g - 2.0 * x * re) ** 2
+        + 4.0 * x2 * (re * re + 2.0 * im * im)
+        + 2.0 * t2 * h2
+    )
+    return 4.0 * x2 + 2.0 * t2, p1, p0
 
 
-def _diagonal_invariants(spec: SystemSpec) -> tuple[float, float, float]:
-    """(|lambda1 - lambda2|^2, |e12|^2, effective detuning) for the diagonal
-    shape, with e12 = eps_12 / c^2."""
-    h01 = spec.hamiltonian.entries[0][1]
-    c2 = spec.c * spec.c
-    lam1, lam2 = spec.lindblad.lambda1, spec.lindblad.lambda2
-    detune = spec.hamiltonian.gap / c2 - (lam1 * lam2.conjugate()).imag
-    return abs(lam1 - lam2) ** 2, abs(h01 / c2) ** 2, detune
+def _canonical_rows(canon: Canonical) -> list[list[complex]]:
+    """Rows of the canonical generator on (f11, f12, f21), in rates."""
+    x, t = canon.x, canon.t
+    g, h = canon.scaled
+    c2 = canon.c * canon.c
+    xt = x * t
+    a = 2.0 * x * x + 0.5 * t * t
+    m01 = c2 * (1j * h.conjugate() + 0.5 * xt)
+    m10 = c2 * (2j * h + xt)
+    m11 = -c2 * complex(a, g)
+    return [
+        [-c2 * t * t, m01, m01.conjugate()],
+        [m10, m11, 0j],
+        [m10.conjugate(), 0j, m11.conjugate()],
+    ]
 
 
 def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
@@ -125,50 +141,22 @@ def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
 
     Coefficients are in the rescaled variable s = rate / c^2 when c > 0 and
     in the bare rate when c = 0.  A closed system (c = 0) has the exact
-    cubic s (s^2 + (E1 - E2)^2) whatever its shape.  Otherwise the two
-    canonical shapes use their closed-form coefficients, also for a general
-    form that ``canonicalize`` reduces; any other general form extracts the
-    characteristic polynomial of the rescaled matrix directly.
+    cubic s (s^2 + (E1 - E2)^2) whatever its shape; otherwise the closed
+    form of the canonical system, rescaled from c' to c.
     """
     c = spec.c
     if c == 0:
         # A closed system's rates are 0 and +/- i (E1 - E2), with
         # (E1 - E2)^2 = gap^2 + 4 |h01|^2 in any frame; the exact cubic keeps
-        # their real parts exactly zero, where the numeric one would leave
+        # their real parts exactly zero, where a numeric one would leave
         # rounding of order eps |H| for assert_stability to read as growth.
         (_, h01), _ = spec.hamiltonian.entries
         return (0j, complex(spec.hamiltonian.gap**2 + 4.0 * abs(h01) ** 2), 0j)
-    reduction = spec.reduction
-    if isinstance(reduction, Canonical):
-        # The rates are frame-invariant, but the Jordan reduction rescales
-        # the coupling to c', so s' = rate / c'^2 = s / k with k = (c' / c)^2.
-        k = (reduction.lindblad.c / c) ** 2
-        p2, p1, p0 = char_cubic(reduction.system)
-        return (p2 * k, p1 * k * k, p0 * k**3)
-    if isinstance(spec.lindblad, DiagonalL):
-        musq, e12_sq, detune = _diagonal_invariants(spec)
-        p1 = 4.0 * e12_sq + detune * detune + 0.25 * musq * musq
-        return (complex(musq), complex(p1), complex(2.0 * e12_sq * musq))
-    if isinstance(spec.lindblad, JordanL):
-        gap_sq, coupling_sq = _jordan_invariants(spec)
-        return (
-            complex(2.0),
-            complex(1.25 + gap_sq + 4.0 * coupling_sq),
-            complex(0.25 + gap_sq + 2.0 * coupling_sq),
-        )
-    m = build_generator(spec).matrix / (c * c)
-    p2 = -np.trace(m)
-    p1 = (
-        m[0, 0] * m[1, 1]
-        - m[0, 1] * m[1, 0]
-        + m[0, 0] * m[2, 2]
-        - m[0, 2] * m[2, 0]
-        + m[1, 1] * m[2, 2]
-        - m[1, 2] * m[2, 1]
-    )
-    p0 = -det3(m)
-    # The conjugation symmetry of the generator makes these real up to dust.
-    return (complex(p2), complex(p1), complex(p0))
+    canon = spec.canonical
+    # The rates are frame-invariant, but s' = rate / c'^2 = s / k.
+    k = (canon.c / c) ** 2
+    p2, p1, p0 = _canonical_cubic(canon)
+    return (complex(p2 * k), complex(p1 * k * k), complex(p0 * k**3))
 
 
 def jordan_coincident_roots(
@@ -219,15 +207,15 @@ def diagonal_coincident_roots(
     return None
 
 
-def _closed_form_roots(spec: SystemSpec) -> list[tuple[complex, int]] | None:
-    if spec.c == 0:
-        return None
-    if isinstance(spec.lindblad, JordanL):
-        gap_sq, coupling_sq = _jordan_invariants(spec)
-        out = jordan_coincident_roots(gap_sq, coupling_sq)
-    elif isinstance(spec.lindblad, DiagonalL):
-        musq, e12_sq, detune = _diagonal_invariants(spec)
-        out = diagonal_coincident_roots(musq, e12_sq, detune * detune)
+def _closed_form_roots(canon: Canonical) -> list[tuple[complex, int]] | None:
+    """Coinciding roots of the diagonal (t = 0) or Jordan (x = 0) shape
+    when their branch conditions hold, in s = rate / c'^2."""
+    g, h = canon.scaled
+    h2 = abs(h) ** 2
+    if canon.t == 0.0:
+        out = diagonal_coincident_roots(4.0 * canon.x**2, h2, g * g)
+    elif canon.x == 0.0:
+        out = jordan_coincident_roots(g * g, h2)
     else:
         return None
     if out is None:
@@ -331,32 +319,19 @@ def _modes_for_root(
 
 
 def spectrum(spec: SystemSpec) -> ModeDecomposition:
-    """Roots, Jordan chains and structure of the homogeneous generator,
-    on Python scalars except for the SVD and least-squares fallbacks."""
-    reduction = spec.reduction
-    if isinstance(reduction, Canonical):
-        # Chain vectors map as the traceless matrices they stand for, so
-        # they stay Jordan chains of the caller's generator.
-        md = spectrum(reduction.system)
-        u = reduction.basis
-        modes = tuple(
-            Mode(m.rate, tuple(coords(from_frame(direction_matrix(v), u)) for v in m.vectors))
-            for m in md.modes
-        )
-        return ModeDecomposition(modes, md.structure, char_cubic(spec), md.scaled)
-
-    rows = build_generator(spec).matrix.tolist()
-    mscale = scalar_norm(rows[0] + rows[1] + rows[2])
+    """Roots, Jordan chains and structure of the homogeneous generator, on
+    Python scalars except for the SVD and least-squares fallbacks: in the
+    canonical frame for c > 0, in the caller's for a closed system."""
     c = spec.c
-    scale = c * c if c > 0 else 1.0
-
-    coeffs = char_cubic(spec)
-    closed = _closed_form_roots(spec)
-    if closed is not None:
-        s_roots = closed
+    if c > 0:
+        canon = spec.canonical
+        rows, scale, frame = _canonical_rows(canon), canon.c * canon.c, canon.basis
+        p2, p1, p0 = _canonical_cubic(canon)
+        s_roots = _closed_form_roots(canon) or list(cubic_roots(p2, p1, p0).roots)
     else:
-        cr = cubic_roots(*coeffs)
-        s_roots = list(cr.roots)
+        rows, scale, frame = build_generator(spec).matrix.tolist(), 1.0, None
+        s_roots = list(cubic_roots(*char_cubic(spec)).roots)
+    mscale = scalar_norm(rows[0] + rows[1] + rows[2])
 
     root_scale = max([1.0] + [abs(s) for s, _ in s_roots])
     ztol = 1e-10 * root_scale
@@ -408,16 +383,24 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
 
     if sum(len(chain) for _, chain in raw_modes) != 3:
         raise InternalError("mode chains do not span three dimensions")
-    modes = [
-        Mode(rate, tuple([np.array(v, dtype=complex) for v in chain])) for rate, chain in raw_modes
-    ]
+    if frame is None:
+        modes = [
+            Mode(rate, tuple(np.array(v, dtype=complex) for v in chain)) for rate, chain in raw_modes
+        ]
+    else:
+        # Chain vectors map as the traceless matrices they stand for, so
+        # they stay Jordan chains of the caller's generator.
+        modes = [
+            Mode(rate, tuple(coords(from_frame(direction_matrix(v), frame)) for v in chain))
+            for rate, chain in raw_modes
+        ]
 
     # Structure reflects algebraic multiplicity: a diagonalizable double root
     # is still DoubleRoot even though it carries two simple modes.  Real
     # parts are compared with the damping scale -p2 = sum Re s, which the
     # roots keep to full relative precision however large their imaginary
     # parts; bare rates (c = 0) have no damping scale.
-    dtol = 1e-10 * max(1.0, abs(coeffs[0])) if c > 0 else ztol
+    dtol = 1e-10 * max(1.0, abs(p2)) if c > 0 else ztol
     top = max(mult for _, mult in s_roots)
     # For each root without damping: whether it oscillates.
     undamped = [abs(s.imag) > ztol for s, _ in s_roots if abs(s.real) <= dtol]
@@ -434,7 +417,9 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
     else:
         structure = SpectrumStructure.DISTINCT
 
-    return ModeDecomposition(modes=tuple(modes), structure=structure, cubic=coeffs, scaled=c > 0)
+    return ModeDecomposition(
+        modes=tuple(modes), structure=structure, cubic=char_cubic(spec), scaled=c > 0
+    )
 
 
 def assert_stability(md: ModeDecomposition, spec: SystemSpec) -> StabilityVerdict:

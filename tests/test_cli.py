@@ -96,6 +96,13 @@ class TestPointerCommand:
         assert rho[0][0] == [pytest.approx(2.0 / 3.0), 0.0]
         assert rho[0][1] == [pytest.approx(-1.0 / 3.0), 0.0]
 
+    def test_non_normal_general_coupling(self, tmp_path, capsys):
+        doc = degenerate_jordan_job()
+        doc["system"]["lindblad"] = {"form": "general", "c": 0.7, "l": [[1.0, 1.0], [0.0, 2.0]]}
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["variant"], payload["case"]) == ("Unique", "non-normal unique")
+
     def test_output_file_roundtrip(self, tmp_path):
         out = tmp_path / "pointer.json"
         job = write_job(tmp_path, degenerate_jordan_job())
@@ -442,6 +449,42 @@ class TestErrors:
         target[key] = True
         assert main(["--job", write_job(tmp_path, doc)]) == EXIT_SCHEMA
         assert path in capsys.readouterr().err
+
+    def test_output_must_be_an_object(self, tmp_path, capsys):
+        doc = degenerate_jordan_job(output="json")
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_SCHEMA
+        assert "$.output:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, fmt", [("pointer", "xml"), ("pointer", "csv"), ("uniton", "csv")])
+    def test_output_format_must_match_the_command(self, command, fmt, tmp_path, capsys):
+        doc = degenerate_jordan_job(command=command, output={"format": fmt})
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_SCHEMA
+        assert "$.output.format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid, field",
+        [
+            ({"t_end": math.inf}, "t_end"),
+            ({"t_end": math.nan}, "t_end"),
+            ({"t_start": math.nan, "t_end": 5.0}, "t_start"),
+            ({"t_end": 5.0, "points": math.inf}, "points"),
+        ],
+    )
+    def test_non_finite_time_grid(self, grid, field, tmp_path, capsys):
+        doc = degenerate_jordan_job(
+            command="evolve", initial_state=[[0.5, 0.0], [0.0, 0.5]], time_grid=grid
+        )
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_SCHEMA
+        assert f"$.time_grid.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-160, 1e-200])
+    @pytest.mark.parametrize("command", ["pointer", "spectrum", "evolve"])
+    def test_tiny_coupling_is_a_contract_violation(self, c, command, tmp_path, capsys):
+        doc = degenerate_jordan_job(command=command, initial_state=[[0.5, 0.0], [0.0, 0.5]])
+        doc["system"]["hamiltonian"] = [[0.3, [0.1, 0.2]], [[0.1, -0.2], -0.4]]
+        doc["system"]["lindblad"]["c"] = c
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_CONTRACT
+        assert "contract violation" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["--job", str(tmp_path / "nope.json")]) == EXIT_SCHEMA

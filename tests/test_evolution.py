@@ -213,7 +213,7 @@ class TestPositivityWindow:
 
     def test_constructed_double_weight_case(self):
         # Excite only the real mode with weight w = 2 x2: the window closes
-        # at exactly ln 2 / (-s3 c^2), and a bisection scan of det rho(t)
+        # at exactly ln 2 / (-s3 c^2), and a scan of det rho(t)
         # agrees to 1e-8.
         h = Hamiltonian([[0.9, 0.15 - 0.1j], [0.15 + 0.1j, -0.2]])
         spec = SystemSpec(h, JordanL(0.6 + 0.3j, 1.1))

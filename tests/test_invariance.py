@@ -1,9 +1,10 @@
 """Unitary covariance of the pipeline.
 
-A canonical system rotated by a unitary U and passed in general form must
-give U (result) U^dag of the canonical system: the same pointer, rates and
-trajectory up to the change of basis.  General input reaches the numeric
-general path only when ``canonicalize`` finds no unitary reduction.
+A system rotated by a unitary U and passed in general form must give
+U (result) U^dag of the unrotated system: the same pointer, rates,
+trajectory and uniton verdict up to the change of basis.  Every input form
+reaches the same canonical form, so this holds for non-normal l with
+distinct eigenvalues as well.
 """
 
 import numpy as np
@@ -11,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgkls import model, pointer, spectral
+from fgkls import model, spectral
 from fgkls.evolution import solve_ivp, trajectory
-from fgkls.model import Canonical, DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec, from_frame
+from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec, from_frame
 from fgkls.oracle import IntegratorConfig, integrate
 from fgkls.pointer import FullFamily, LineFamily, UniquePointer, compute_pointer, pointer_residual
-from fgkls.sampling import random_density, random_spec
+from fgkls.sampling import random_complex, random_density, random_spec
 from fgkls.spectral import char_cubic, spectrum
-from fgkls.uniton import classify_unitons
+from fgkls.uniton import NoUnitons, StationaryPointerOnly, classify_unitons
 from test_acceptance import (
     diagonal_double_root_spec,
     haar_unitary,
@@ -59,7 +60,8 @@ def test_rotated_general_form_is_the_frame_mapped_canonical_result(seed, family)
     # a != 1 makes the Jordan reduction rescale the coupling.
     a = float(rng.uniform(0.5, 2.0))
     rot = rotated_general(spec, u, a)
-    assert isinstance(rot.reduction, Canonical)
+    # Rotation rounds l; its shape is still decided exactly.
+    assert (rot.canonical.t if family.startswith("diagonal") else rot.canonical.x) == 0.0
 
     want, got = compute_pointer(spec), compute_pointer(rot)
     assert isinstance(want, UniquePointer) and isinstance(got, UniquePointer)
@@ -105,8 +107,8 @@ def test_rotated_families_map_to_stationary_families(rng, spec, variant):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts canonicalize calls and fails any generator built for a GeneralL
-    spec that canonicalize reduces."""
+    """Counts canonicalize calls and fails any generator built in the
+    caller's frame for an open system."""
     calls = []
     real = model.canonicalize
 
@@ -114,17 +116,13 @@ def counted(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    def guarded(build):
-        def wrapper(spec):
-            if isinstance(spec.lindblad, GeneralL):
-                assert not isinstance(spec.reduction, Canonical)
-            return build(spec)
+    def guarded(spec):
+        assert spec.c == 0.0
+        return build(spec)
 
-        return wrapper
-
+    build = spectral.build_generator
     monkeypatch.setattr(model, "canonicalize", counting)
-    monkeypatch.setattr(pointer, "build_generator", guarded(pointer.build_generator))
-    monkeypatch.setattr(spectral, "build_generator", guarded(spectral.build_generator))
+    monkeypatch.setattr(spectral, "build_generator", guarded)
     return calls
 
 
@@ -142,14 +140,54 @@ def test_canonicalize_runs_once_per_general_spec(counted, rng):
     for canonical in (DiagonalL(0.3 + 0.1j, -0.8j, 1.1), JordanL(0.4 - 0.2j, 0.9)):
         spec = SystemSpec(h, canonical)
         run_pipeline(spec, rho0)
-        assert counted == []
+        run_pipeline(spec, rho0)
+        assert len(counted) == 1
         general = rotated_general(spec, haar_unitary(rng))
         run_pipeline(general, rho0)
         run_pipeline(general, rho0)
-        assert len(counted) == 1
+        assert len(counted) == 2
         counted.clear()
-    # Non-normal l with distinct eigenvalues keeps the numeric path.
+    # Non-normal l with distinct eigenvalues takes the same path.
     general = SystemSpec(h, GeneralL([[1.0, 1.0], [0.0, 2.0]], 0.7))
     run_pipeline(general, rho0)
     assert len(counted) == 1
-    assert isinstance(general.reduction, model.NonCanonical)
+    assert general.canonical.x > 0.0 and general.canonical.t > 0.0
+
+
+def non_normal_spec(rng):
+    """A random system whose l is non-normal with distinct eigenvalues."""
+    h = Hamiltonian(random_spec(rng, "diagonal", scale=1.2).hamiltonian.matrix)
+    l = np.array([[random_complex(rng) for _ in range(2)] for _ in range(2)])
+    return SystemSpec(h, GeneralL(l, float(rng.uniform(0.5, 1.5))))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rotated_non_normal_coupling_maps_every_result(seed):
+    rng = np.random.default_rng(seed)
+    spec = non_normal_spec(rng)
+    assert spec.canonical.x > 0.0 and spec.canonical.t > 0.0
+    u = haar_unitary(rng)
+    rot = rotated_general(spec, u, float(rng.uniform(0.5, 2.0)))
+
+    want, got = compute_pointer(spec), compute_pointer(rot)
+    assert isinstance(want, UniquePointer) and isinstance(got, UniquePointer)
+    assert np.max(np.abs(got.rho - from_frame(want.rho, u))) < 1e-10
+    assert pointer_residual(rot, got.rho) < 1e-10
+
+    rho0 = random_density(rng)
+    ts = np.linspace(0.0, 4.0 / spec.c**2, 30)
+    traj = trajectory(solve_ivp(rot, from_frame(rho0, u)), ts)
+    mapped = np.array([from_frame(r, u) for r in trajectory(solve_ivp(spec, rho0), ts)])
+    assert np.max(np.abs(traj - mapped)) < 1e-9
+
+    # The uniton candidate is the pointer of (H = 0, l); an H commuting
+    # with it makes it a stationary uniton.
+    kernel = compute_pointer(SystemSpec(Hamiltonian.zero(), spec.lindblad)).rho
+    for h, kind in ((spec.hamiltonian, NoUnitons), (Hamiltonian(kernel), StationaryPointerOnly)):
+        turned = SystemSpec(Hamiltonian(from_frame(h.matrix, u)), rot.lindblad)
+        v_want, v_got = classify_unitons(SystemSpec(h, spec.lindblad)), classify_unitons(turned)
+        assert isinstance(v_want, kind) and isinstance(v_got, kind)
+        field = "rho" if kind is StationaryPointerOnly else "candidate"
+        assert np.max(np.abs(getattr(v_want, field) - kernel)) < 1e-12
+        assert np.max(np.abs(getattr(v_got, field) - from_frame(kernel, u))) < 1e-10

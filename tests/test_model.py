@@ -1,19 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgkls.errors import InputError
+from fgkls.errors import ContractError, InputError
 from fgkls.model import (
-    Canonical,
     DiagonalL,
     GeneralL,
     Hamiltonian,
     JordanL,
-    NonCanonical,
     SystemSpec,
     as_density,
-    canonicalize,
     det2,
     from_frame,
     gauge_shift,
@@ -77,76 +76,99 @@ class TestLindbladForms:
             assert np.array_equal(np.array(entries), form.small_l())
 
 
+def canonical_system(spec):
+    """The canonical system (H', c' [[x, t], [0, -x]]) of a spec as a spec
+    of its own, in the frame U: H' is U^dag H U plus the gauge term."""
+    canon = spec.canonical
+    u = np.eye(2) if canon.basis is None else canon.basis
+    g0, k0 = canon.gauge
+    gauge = canon.c**2 * np.array([[g0 / 2, k0], [np.conj(k0), -g0 / 2]])
+    h = Hamiltonian(to_frame(spec.hamiltonian.matrix, u) + gauge)
+    return SystemSpec(h, GeneralL([[canon.x, canon.t], [0.0, -canon.x]], canon.c))
+
+
+def canonical(l_raw, c, h):
+    return SystemSpec(h, GeneralL(l_raw, c)).canonical
+
+
 class TestCanonicalize:
     def test_already_jordan(self):
         lam = 0.3 - 0.7j
         h = Hamiltonian.diagonal(1.0, 0.0)
-        res = canonicalize([[lam, 1.0], [0.0, lam]], 1.0, h)
-        assert isinstance(res, Canonical)
-        assert isinstance(res.lindblad, JordanL)
-        assert res.lindblad.lam == pytest.approx(lam, abs=1e-12)
-        assert res.lindblad.c == pytest.approx(1.0)
+        res = canonical([[lam, 1.0], [0.0, lam]], 1.0, h)
+        assert (res.x, res.t, res.c) == (0.0, 1.0, 1.0)
         assert np.allclose(res.basis, np.eye(2))  # already canonical
-        assert np.allclose(res.hamiltonian.matrix, h.matrix)
+        assert (res.gap, res.h01) == (1.0, 0.0)
+        # The scalar part moves into H' = H + (i c^2 / 2)(conj(lam) s+ - lam s-).
+        assert res.gauge[0] == 0.0 and res.gauge[1] == pytest.approx(0.5j * np.conj(lam), abs=1e-15)
+        jordan = SystemSpec(h, JordanL(lam, 1.0)).canonical
+        assert jordan.basis is None and jordan.scaled == pytest.approx(res.scaled, abs=1e-15)
 
     def test_defective_lower_triangular(self):
         # [[1,0],[2,1]] is defective; Schur swaps the basis and the
         # off-diagonal magnitude 2 rescales the coupling.
         h = Hamiltonian.diagonal(0.4, -0.2)
-        res = canonicalize([[1.0, 0.0], [2.0, 1.0]], 0.7, h)
-        assert isinstance(res, Canonical)
-        assert isinstance(res.lindblad, JordanL)
-        assert res.lindblad.lam == pytest.approx(0.5, abs=1e-12)
-        assert res.lindblad.c == pytest.approx(1.4, abs=1e-12)
+        res = canonical([[1.0, 0.0], [2.0, 1.0]], 0.7, h)
+        assert (res.x, res.t) == (0.0, 1.0)
+        assert res.c == pytest.approx(1.4, abs=1e-12)
+        # lambda' = lambda / 2 = 0.5 enters the gauge term as (i / 2) conj(lambda').
+        assert res.gauge[1] == pytest.approx(0.25j, abs=1e-15)
+        assert res.gap == pytest.approx(-0.6, abs=1e-15)
 
     def test_non_normal_distinct_eigenvalues(self):
-        res = canonicalize([[1.0, 1.0], [0.0, 2.0]], 1.0, Hamiltonian.zero())
-        assert isinstance(res, NonCanonical)
-        assert isinstance(res.lindblad, GeneralL)
+        # l0 = [[-1/2, 1], [0, 1/2]]: x = 1/2 and t = 1 before folding
+        # sqrt(x^2 + t^2) into the coupling.
+        res = canonical([[1.0, 1.0], [0.0, 2.0]], 1.0, Hamiltonian.zero())
+        assert res.x == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-15)
+        assert res.t == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-15)
+        assert res.c == pytest.approx(math.sqrt(1.25), abs=1e-15)
+        assert res.x * res.x + res.t * res.t == pytest.approx(1.0, abs=1e-15)
 
     def test_normal_diagonalized(self, rng):
         # A random normal matrix: unitary conjugation of a diagonal.
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         lam = np.diag([0.4 + 0.2j, -1.1 + 0.9j])
         l_raw = q @ lam @ q.conj().T
-        res = canonicalize(l_raw, 1.0, Hamiltonian.diagonal(1.0, -1.0))
-        assert isinstance(res, Canonical)
-        assert isinstance(res.lindblad, DiagonalL)
-        got = sorted([res.lindblad.lambda1, res.lindblad.lambda2], key=lambda z: z.real)
-        assert got[0] == pytest.approx(-1.1 + 0.9j, abs=1e-10)
-        assert got[1] == pytest.approx(0.4 + 0.2j, abs=1e-10)
+        spec = SystemSpec(Hamiltonian.diagonal(1.0, -1.0), GeneralL(l_raw, 1.0))
+        res = spec.canonical
+        assert (res.x, res.t) == (1.0, 0.0)
+        assert res.c == pytest.approx(abs(1.5 - 0.7j) / 2.0, abs=1e-12)
+        back = to_frame(l_raw, res.basis)
+        assert abs(back[0, 1]) < 1e-14 and abs(back[1, 0]) < 1e-14
+        h_frame = Hamiltonian(to_frame(spec.hamiltonian.matrix, res.basis))
+        diag = SystemSpec(h_frame, DiagonalL(*np.diag(back), 1.0)).canonical
+        assert diag.scaled == pytest.approx(res.scaled, abs=1e-12)
 
     def test_scalar_l_stays_diagonal(self):
-        res = canonicalize(np.eye(2) * (0.5 + 0.5j), 2.0, Hamiltonian.zero())
-        assert isinstance(res, Canonical)
-        assert isinstance(res.lindblad, DiagonalL)
-        assert res.lindblad.lambda1 == pytest.approx(res.lindblad.lambda2)
+        res = canonical(np.eye(2) * (0.5 + 0.5j), 2.0, Hamiltonian.zero())
+        assert (res.x, res.t, res.c, res.gauge) == (0.0, 0.0, 2.0, (0.0, 0j))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150])
     def test_rotated_jordan_blocks_across_scales(self, rng, scale):
-        # Schur eigenvalues of a defective matrix split by about sqrt(eps);
-        # the discriminant stays at rounding level and decides the shape.
+        # Rotation rounds a Jordan block's eigenvalues apart by about
+        # sqrt(eps); the discriminant stays at rounding level and decides
+        # the shape.
         for _ in range(300):
             q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             u = q * (np.diag(r) / np.abs(np.diag(r)))
             lam = 10.0 ** rng.uniform(-3.0, 3.0) * np.exp(2j * np.pi * rng.uniform())
             l_raw = scale * (u @ np.array([[lam, 1.0], [0.0, lam]]) @ u.conj().T)
-            res = canonicalize(l_raw, 0.8, Hamiltonian.zero())
-            assert isinstance(res, Canonical)
-            assert isinstance(res.lindblad, JordanL)
-            assert res.lindblad.lam * res.lindblad.c == pytest.approx(0.8 * scale * lam, rel=1e-12)
+            res = canonical(l_raw, 0.8 / scale, Hamiltonian.zero())
+            assert (res.x, res.t) == (0.0, 1.0)
+            assert res.c == pytest.approx(0.8, rel=1e-12)
+            assert res.gauge[1] == pytest.approx(0.5j * np.conj(lam), rel=1e-12)
             assert np.allclose(res.basis.conj().T @ res.basis, np.eye(2), atol=1e-14)
-            back = from_frame(res.lindblad.small_l() * (res.lindblad.c / (0.8 * scale)), res.basis)
-            assert np.max(np.abs(back - l_raw / scale)) < 1e-12 * abs(lam) + 1e-13
+            back = to_frame(l_raw / scale, res.basis) - lam * np.eye(2)
+            assert np.max(np.abs(back - [[0.0, 1.0], [0.0, 0.0]])) < 1e-12 * abs(lam) + 1e-13
 
-    @pytest.mark.parametrize("kind", ["normal", "defective"])
+    @pytest.mark.parametrize("kind", ["normal", "defective", "non-normal"])
     def test_frame_equivalence_of_trajectories(self, rng, kind):
         # Evolving in the original frame and conjugating the canonical-frame
         # trajectory back must agree pointwise.
         if kind == "normal":
             q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             l_raw = q @ np.diag([0.8, 0.2 + 0.6j]) @ q.conj().T
-        else:
+        elif kind == "defective":
             # Exactly representable defective matrix: conjugating the block
             # by the dyadic [[1, 0], [i/2, 1]] keeps all entries exact, so
             # the eigenvalue gap cancels exactly instead of to sqrt(eps).
@@ -154,17 +176,30 @@ class TestCanonicalize:
             l_raw = np.array([[lam - 0.5j, 1.0], [0.25, lam + 0.5j]], dtype=complex)
             gap_sq = (l_raw[0, 0] - l_raw[1, 1]) ** 2 + 4 * l_raw[0, 1] * l_raw[1, 0]
             assert gap_sq == 0.0
+        else:
+            l_raw = np.array([[0.3 + 0.4j, -0.7 + 0.1j], [0.2j, -0.5 + 0.2j]])
         c = 0.8
         h = Hamiltonian([[0.9, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]])
-        res = canonicalize(l_raw, c, h)
-        assert isinstance(res, Canonical)
+        spec = SystemSpec(h, GeneralL(l_raw, c))
+        res = spec.canonical
+        shape = {"normal": res.t == 0.0, "defective": res.x == 0.0, "non-normal": res.x * res.t > 0.0}
+        assert shape[kind]
 
         rho0 = as_density([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
         cfg = IntegratorConfig(dt=5e-4, t_end=2.0, record_stride=200)
-        ts, raw_traj = integrate(SystemSpec(h, GeneralL(l_raw, c)), rho0, cfg)
-        _, canon_traj = integrate(res.system, to_frame(rho0, res.basis), cfg)
+        ts, raw_traj = integrate(spec, rho0, cfg)
+        _, canon_traj = integrate(canonical_system(spec), to_frame(rho0, res.basis), cfg)
         back = np.array([from_frame(r, res.basis) for r in canon_traj])
         assert np.max(np.abs(back - raw_traj)) < 1e-9
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-160, 1e-200])
+    def test_tiny_coupling_is_a_contract_error(self, c):
+        # c'^2 underflows, or H' / c'^2 is beyond the range of the closed
+        # forms: a typed error rather than a division by zero or overflow.
+        h = Hamiltonian([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, -0.4]])
+        for form in (JordanL(0.3, c), DiagonalL(0.3, -0.2j, c), GeneralL([[0.3, 1.0], [0.5j, 0.1]], c)):
+            with pytest.raises(ContractError):
+                SystemSpec(h, form).canonical
 
 
 class TestGaugeShift:

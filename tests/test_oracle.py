@@ -6,20 +6,53 @@ import pytest
 from fgkls.errors import ConfigError
 from fgkls.evolution import solve_ivp, trajectory
 from fgkls.generator import rhs
-from fgkls.model import DiagonalL, Hamiltonian, JordanL, SystemSpec
+from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec, coords, from_coords
 from fgkls.oracle import (
     Converged,
     IntegratorConfig,
     NotConverged,
+    _affine_field,
+    _power_map,
+    _step_maps,
     det_scan,
     integrate,
     pointer_numeric,
+    stiffness_scale,
 )
 from fgkls.pointer import DiagonalFamily, compute_pointer
 from fgkls.sampling import random_density, random_spec
 
 AMP_DAMP = SystemSpec(Hamiltonian.diagonal(0.3, 0.3), JordanL(0.0, 1.0))
 GROUND = np.diag([0.0, 1.0]).astype(complex)
+
+
+def literal_rk4(spec, rho0, dt, n_steps):
+    """The RK4 sequence step by step on the raw right-hand side."""
+    out = [np.asarray(rho0, dtype=complex)]
+    for _ in range(n_steps):
+        rho = out[-1]
+        k1 = rhs(spec, rho)
+        k2 = rhs(spec, rho + dt / 2.0 * k1)
+        k3 = rhs(spec, rho + dt / 2.0 * k2)
+        k4 = rhs(spec, rho + dt * k3)
+        out.append(rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return out
+
+
+def per_stride_loop(spec, rho0, cfg):
+    """The recorded samples as one stride map applied per stride."""
+    m, q = _affine_field(spec)
+    p, r = _step_maps(m, q, cfg.dt)
+    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
+    stride = min(cfg.record_stride, n_steps)
+    steps = list(range(0, n_steps + 1, stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    xs = [coords(rho0)]
+    for k0, k1 in zip(steps, steps[1:]):
+        p_k, r_k = _power_map(p, r, k1 - k0)
+        xs.append(p_k @ xs[-1] + r_k)
+    return np.array(steps) * cfg.dt, from_coords(np.array(xs))
 
 
 class TestIntegrate:
@@ -44,20 +77,34 @@ class TestIntegrate:
         spec = SystemSpec(h, JordanL(0.5 + 0.3j, 1.0))
         rho0 = np.array([[0.8, 0.1 + 0.2j], [0.1 - 0.2j, 0.2]])
         dt, n_steps = 1e-3, 500
-        literal = [rho0.astype(complex)]
-        for _ in range(n_steps):
-            rho = literal[-1]
-            k1 = rhs(spec, rho)
-            k2 = rhs(spec, rho + dt / 2.0 * k1)
-            k3 = rhs(spec, rho + dt / 2.0 * k2)
-            k4 = rhs(spec, rho + dt * k3)
-            literal.append(rho + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        literal = literal_rk4(spec, rho0, dt, n_steps)
         ks = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})
 
         cfg = IntegratorConfig(dt=dt, t_end=n_steps * dt, record_stride=stride)
         ts, rhos = integrate(spec, rho0, cfg)
         assert ts.tolist() == [k * dt for k in ks]
         assert np.max(np.abs(rhos - np.array([literal[k] for k in ks]))) < 1e-12
+
+    @pytest.mark.parametrize("stride", [1, 25, 70, 500, 900])
+    def test_doubling_matches_a_per_stride_loop(self, stride):
+        h = Hamiltonian([[0.8, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
+        spec = SystemSpec(h, JordanL(0.5 + 0.3j, 1.0))
+        rho0 = np.array([[0.8, 0.1 + 0.2j], [0.1 - 0.2j, 0.2]])
+        cfg = IntegratorConfig(dt=1e-3, t_end=0.5, record_stride=stride)
+        ts, rhos = integrate(spec, rho0, cfg)
+        want_ts, want = per_stride_loop(spec, rho0, cfg)
+        assert ts.tolist() == want_ts.tolist()
+        assert np.max(np.abs(rhos - want)) < 1e-14
+
+    def test_stiffness_scale_is_the_operator_norm(self, rng):
+        for exponent in range(-150, 151, 10):
+            for _ in range(5):
+                m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * 10.0**exponent
+                h = Hamiltonian(m + m.conj().T)
+                l = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * 10.0 ** (exponent / 2)
+                for form in (GeneralL(l, 1.0), GeneralL(np.diag(np.diag(l)), 1.0), GeneralL(l, 0.0)):
+                    want = max(np.linalg.norm(h.matrix, ord=2), np.linalg.norm(form.matrix, ord=2) ** 2 * form.c)
+                    assert stiffness_scale(SystemSpec(h, form)) == pytest.approx(want, rel=1e-12)
 
     def test_amplitude_damping_reference(self):
         cfg = IntegratorConfig(dt=1e-3, t_end=5.0, record_stride=100)
@@ -164,7 +211,9 @@ class TestDetScan:
 
         assert det_scan(states, ts) == pytest.approx(math.log(2.0), abs=1e-8)
         assert sizes[0] == len(ts)
-        assert sizes[1:] and set(sizes[1:]) == {1}
+        # Each refinement shrinks the bracket by REFINE_POINTS + 1 = 65.
+        refinements = math.ceil(math.log((ts[1] - ts[0]) / 1e-8) / math.log(65.0))
+        assert 1 <= len(sizes) - 1 <= refinements
 
         sizes.clear()
         assert det_scan(states, np.linspace(5.0, 10.0, 300)) == 0.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fgkls import pointer
+from fgkls.errors import ContractError
+from fgkls.evolution import solve_ivp, trajectory
 from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec, det2, min_eig2
 from fgkls.pointer import (
     DiagonalFamily,
@@ -12,7 +13,8 @@ from fgkls.pointer import (
     compute_pointer,
     pointer_residual,
 )
-from fgkls.sampling import random_spec
+from fgkls.sampling import random_density, random_spec
+from fgkls.spectral import spectrum
 
 DEGENERATE_H = Hamiltonian.diagonal(0.7, 0.7)
 
@@ -112,26 +114,36 @@ class TestGeneralAndClosed:
                 assert min_eig2(res.rho) > -1e-12
 
     def test_general_matches_canonical_route(self, rng):
-        # A canonical shape passed in general form must agree.
+        # A canonical shape passed in general form must agree, from tiny to
+        # huge scales of lambda, H and c.
         for form in ("diagonal", "jordan"):
-            for _ in range(40):
-                spec = random_spec(rng, form=form, c_range=(0.4, 2.0))
-                as_general = SystemSpec(
-                    spec.hamiltonian, GeneralL(spec.lindblad.small_l(), spec.c)
-                )
-                res_a = compute_pointer(spec)
-                res_b = compute_pointer(as_general)
-                # The numeric solver, which general input reaches only when
-                # it has no canonical frame, must agree on the same system.
-                res_c = pointer._general_pointer(as_general)
+            for _ in range(100):
+                lam = 10.0 ** rng.uniform(-6.0, 6.0)
+                spec = random_spec(rng, form=form, c_range=(1.0, 1.0), scale=10.0 ** rng.uniform(-6.0, 6.0))
+                if form == "jordan":
+                    shape = JordanL(lam * spec.lindblad.lam, 10.0 ** rng.uniform(-4.0, 4.0))
+                else:
+                    l1, l2 = spec.lindblad.lambda1, spec.lindblad.lambda2
+                    shape = DiagonalL(lam * l1, lam * l2, 10.0 ** rng.uniform(-4.0, 4.0))
+                spec = SystemSpec(spec.hamiltonian, shape)
+                as_general = SystemSpec(spec.hamiltonian, GeneralL(shape.small_l(), shape.c))
+                res_a, res_b = compute_pointer(spec), compute_pointer(as_general)
+                assert res_a.label == res_b.label
                 if isinstance(res_a, UniquePointer):
-                    for res in (res_b, res_c):
-                        assert isinstance(res, UniquePointer)
-                        assert np.max(np.abs(res_a.rho - res.rho)) < 1e-9
+                    assert np.max(np.abs(res_a.rho - res_b.rho)) < 1e-12
+                key = lambda r: (r.real, r.imag)  # noqa: E731
+                rates_a = sorted((m.rate for m in spectrum(spec).modes for _ in m.vectors), key=key)
+                rates_b = sorted((m.rate for m in spectrum(as_general).modes for _ in m.vectors), key=key)
+                scale = max(abs(r) for r in rates_a)
+                assert np.max(np.abs(np.array(rates_a) - rates_b)) <= 1e-12 * scale
+                rho0 = random_density(rng)
+                ts = np.linspace(0.0, 3.0 / max(1e-300, min(-r.real for r in rates_a if r.real < 0.0)), 5)
+                traj_a = trajectory(solve_ivp(spec, rho0), ts)
+                assert np.max(np.abs(traj_a - trajectory(solve_ivp(as_general, rho0), ts))) < 1e-9
 
     def test_weak_coupling_non_normal_near_singular(self):
-        # The stationary system's determinant is small enough to take the
-        # rank-revealing solve, which still finds full rank.
+        # The stationary system's determinant is small (c^6 |H|^...); the
+        # closed form keeps the pointer exact there.
         h = Hamiltonian.diagonal(0.5, -0.5)
         for c in (1.1e-5, 1.3e-5, 1.5e-5):
             spec = SystemSpec(h, GeneralL([[1.0, 1.0], [0.0, 2.0]], c))
@@ -172,3 +184,15 @@ class TestFamilies:
         for x in (lo + 1e-12, hi - 1e-12, 0.0):
             assert min_eig2(res.rho(x)) >= -1e-10
         assert min_eig2(res.rho(hi + 0.05)) < 0.0
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-160, 1e-200])
+def test_tiny_coupling_is_a_contract_error(c):
+    # c'^2 underflows, or H' / c'^2 is beyond what the closed forms can
+    # square and cube: a typed error, not a ZeroDivisionError or overflow.
+    h = Hamiltonian([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, -0.4]])
+    for form in (JordanL(0.3, c), DiagonalL(0.3, -0.2j, c)):
+        spec = SystemSpec(h, form)
+        for run in (compute_pointer, spectrum, lambda s: solve_ivp(s, np.eye(2) / 2.0)):
+            with pytest.raises(ContractError):
+                run(spec)

@@ -3,9 +3,9 @@
 ``reference_spectrum``, ``reference_fit`` and ``reference_coords`` below are
 a literal copy of the numpy implementation of ``spectral.spectrum``, the
 amplitude fit of ``evolution.solve_ivp`` and the coordinates behind
-``evolution.trajectory`` that the scalar code replaced.  Both sides take their roots from
-``char_cubic``/``cubic_roots``, so what is compared is the mode extraction,
-the fit and the trajectory.
+``evolution.trajectory`` that the scalar code replaced.  Both sides take the
+canonical generator and its roots from ``spectral``, so what is compared is
+the mode extraction, the fit and the trajectory.
 """
 
 import math
@@ -16,9 +16,7 @@ import numpy as np
 
 from fgkls.errors import InternalError
 from fgkls.evolution import solve_ivp, trajectory
-from fgkls.generator import build_generator
 from fgkls.model import (
-    Canonical,
     as_density,
     coords,
     dagger_coords,
@@ -32,12 +30,14 @@ from fgkls.spectral import (
     CHAIN_RTOL,
     GEO_RTOL,
     SpectrumStructure,
+    _canonical_cubic,
+    _canonical_rows,
     _chain_solve,
     _closed_form_roots,
-    char_cubic,
     cubic_roots,
     spectrum,
 )
+from test_model import canonical_system
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -121,19 +121,12 @@ def _ref_modes_for_root(m, rate, mult, mscale):
 
 def reference_spectrum(spec):
     """[(rate, [vectors])] per mode, and the structure's root list."""
-    reduction = spec.reduction
-    if isinstance(reduction, Canonical):
-        modes, s_roots = reference_spectrum(reduction.system)
-        u = reduction.basis
-        return [
-            (r, [coords(from_frame(direction_matrix(v), u)) for v in chain]) for r, chain in modes
-        ], s_roots
-    m = build_generator(spec).matrix
+    canon = spec.canonical
+    m = np.array(_canonical_rows(canon))
     mscale = float(np.linalg.norm(m))
-    c = spec.c
-    scale = c * c if c > 0 else 1.0
-    closed = _closed_form_roots(spec)
-    s_roots = closed if closed is not None else list(cubic_roots(*char_cubic(spec)).roots)
+    scale = canon.c**2
+    closed = _closed_form_roots(canon)
+    s_roots = closed if closed is not None else list(cubic_roots(*_canonical_cubic(canon)).roots)
     root_scale = max([1.0] + [abs(s) for s, _ in s_roots])
     ztol = 1e-10 * root_scale
     raw_modes = []
@@ -173,6 +166,11 @@ def reference_spectrum(spec):
             v = chain[0]
             raw_modes.append((rate, [v]))
             raw_modes.append((np.conj(rate), [dagger_coords(v)]))
+    if canon.basis is not None:
+        u = canon.basis
+        raw_modes = [
+            (r, [coords(from_frame(direction_matrix(v), u)) for v in chain]) for r, chain in raw_modes
+        ]
     return raw_modes, s_roots
 
 
@@ -274,10 +272,9 @@ def test_chain_links_depend_only_on_the_system():
     chains = 0
     for seed in (1, 2, 3):
         for op in workloads.manifold_ops(seed):
-            spec = op.spec
-            if isinstance(spec.reduction, Canonical):
-                spec = spec.reduction.system
-            m = build_generator(spec).matrix
+            # The canonical system in its own frame.
+            spec = canonical_system(op.spec)
+            m = np.array(_canonical_rows(spec.canonical))
             mscale = float(np.linalg.norm(m))
             for mode in spectrum(spec).modes:
                 if len(mode.vectors) == 1:

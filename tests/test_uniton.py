@@ -4,14 +4,15 @@ from fgkls.generator import rhs
 from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec, lindblad_operator
 from fgkls.oracle import IntegratorConfig, integrate
 from fgkls.sampling import random_complex, random_density, random_hamiltonian
-from fgkls.uniton import (
-    AllStates,
-    NoUnitons,
-    StationaryPointerOnly,
-    _numeric_verdict,
-    classify_unitons,
-    uniton_tensor,
+from fgkls.pointer import (
+    DiagonalFamily,
+    FullFamily,
+    LineFamily,
+    UniquePointer,
+    compute_pointer,
+    pointer_residual,
 )
+from fgkls.uniton import AllStates, NoUnitons, StationaryPointerOnly, classify_unitons
 from test_acceptance import haar_unitary, rotated_general
 
 H_DIAG = Hamiltonian.diagonal(1.0, 0.0)
@@ -24,34 +25,53 @@ def dissipator_norm(form, rho):
     return float(np.linalg.norm(out))
 
 
+def dissipator_matrix(form):
+    """The dissipative-part-vanishes condition as a 4x4 matrix on the
+    row-major flattened state, with the coupling factored out."""
+    l = form.small_l()
+    ldl = l.conj().T @ l
+    eye = np.eye(2)
+    return np.kron(l, l.conj()) - 0.5 * np.kron(ldl, eye) - 0.5 * np.kron(eye, ldl.T)
+
+
 def kernel_dim(form):
-    t4 = uniton_tensor(form).reshape(4, 4)
-    s = np.linalg.svd(t4, compute_uv=False)
+    s = np.linalg.svd(dissipator_matrix(form), compute_uv=False)
     return int(np.sum(s <= 1e-10 * max(1.0, s[0])))
 
 
+def candidate_of(verdict):
+    return verdict.rho if isinstance(verdict, StationaryPointerOnly) else verdict.candidate
+
+
 class TestUnitonTensor:
+    """The kernel of the dissipative-part-vanishes condition (the uniton
+    tensor) as ``classify_unitons`` reports it, against the numeric matrix."""
+
     def test_scalar_coupling_kills_tensor(self):
         form = DiagonalL(0.8 - 0.2j, 0.8 - 0.2j, 1.0)
-        assert np.max(np.abs(uniton_tensor(form))) < 1e-14
+        assert np.max(np.abs(dissipator_matrix(form))) < 1e-14
         assert kernel_dim(form) == 4
+        assert isinstance(classify_unitons(SystemSpec(H_DIAG, form)), AllStates)
 
     def test_pure_raising_kernel_is_upper_population(self):
         form = JordanL(0.0, 1.0)
         assert kernel_dim(form) == 1
-        t4 = uniton_tensor(form).reshape(4, 4)
+        rho = candidate_of(classify_unitons(SystemSpec(H_DIAG, form)))
+        assert np.allclose(rho, np.diag([1.0, 0.0]), atol=1e-15)
         # diag(1, 0) flattens to (1, 0, 0, 0).
-        assert np.linalg.norm(t4 @ np.array([1.0, 0.0, 0.0, 0.0])) < 1e-14
+        assert np.linalg.norm(dissipator_matrix(form) @ rho.ravel()) < 1e-14
 
     def test_distinct_diagonal_kernel_is_diagonal_matrices(self):
         form = DiagonalL(1.0, 0.3j, 1.0)
         assert kernel_dim(form) == 2
-        t4 = uniton_tensor(form).reshape(4, 4)
-        for vec in ([1.0, 0, 0, 0], [0, 0, 0, 1.0]):
-            assert np.linalg.norm(t4 @ np.array(vec)) < 1e-14
+        verdict = classify_unitons(SystemSpec(H_DIAG, form))
+        assert isinstance(verdict, NoUnitons)
+        for m in (verdict.candidate, *verdict.family):
+            assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+            assert np.linalg.norm(dissipator_matrix(form) @ m.ravel()) < 1e-14
         # Coherences pick up the dephasing eigenvalue
         # lam1 conj(lam2) - (|lam1|^2 + |lam2|^2)/2, real part -|lam1-lam2|^2/2.
-        off = t4 @ np.array([0, 1.0, 0, 0])
+        off = dissipator_matrix(form) @ np.array([0, 1.0, 0, 0])
         expected = 1.0 * np.conj(0.3j) - 0.5 * (1.0 + 0.09)
         assert abs(off[1] - expected) < 1e-12
         assert abs(expected.real + 0.5 * abs(1.0 - 0.3j) ** 2) < 1e-12
@@ -61,22 +81,14 @@ class TestUnitonTensor:
             m = np.array([[random_complex(rng), random_complex(rng)],
                           [random_complex(rng), random_complex(rng)]])
             form = GeneralL(m, 1.0)
-            t4 = uniton_tensor(form).reshape(4, 4)
-            rho = random_density(rng)
-            flat = np.array([rho[0, 0], rho[0, 1], rho[1, 0], rho[1, 1]])
-            direct = t4 @ flat
-            big_l = form.small_l()
-            ldl = big_l.conj().T @ big_l
-            expect = big_l @ rho @ big_l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
-            assert abs(direct[0] - expect[0, 0]) < 1e-12
-            assert abs(direct[1] - expect[0, 1]) < 1e-12
-            assert abs(direct[2] - expect[1, 0]) < 1e-12
-            assert abs(direct[3] - expect[1, 1]) < 1e-12
+            rho = candidate_of(classify_unitons(SystemSpec(random_hamiltonian(rng), form)))
+            assert abs(np.trace(rho) - 1.0) < 1e-14
+            assert dissipator_norm(form, rho) < 1e-12 * np.linalg.norm(m) ** 2
 
     def test_coupling_factors_out(self):
-        a = uniton_tensor(JordanL(0.5, 1.0))
-        b = uniton_tensor(JordanL(0.5, 2.3))
-        assert np.max(np.abs(a - b)) < 1e-14
+        a = classify_unitons(SystemSpec(H_DIAG, JordanL(0.5, 1.0)))
+        b = classify_unitons(SystemSpec(H_DIAG, JordanL(0.5, 2.3)))
+        assert np.max(np.abs(candidate_of(a) - candidate_of(b))) < 1e-14
 
 
 class TestClassify:
@@ -181,28 +193,23 @@ class TestClassify:
         assert np.max(np.abs(open_traj - closed_traj)) < 1e-10
 
 
-def _along(x, d):
-    """Distance of the Hermitian matrix x from the real line through d."""
-    coef = np.vdot(d, x).real / np.vdot(d, d).real
-    return float(np.max(np.abs(x - coef * d)))
-
-
-def assert_same_verdict(got, want):
-    """Same verdict; a family is compared as the line it spans, whichever
-    member and sign represent it."""
-    assert type(got) is type(want)
-    assert got.label == want.label
-    if isinstance(want, StationaryPointerOnly):
-        assert np.max(np.abs(got.rho - want.rho)) < 1e-12
-    if isinstance(want, NoUnitons):
-        assert got.reason == want.reason
-        assert len(got.family) == len(want.family)
-        if want.family:
-            (d,) = got.family
-            assert _along(want.family[0], d) < 1e-12
-            assert _along(want.candidate - got.candidate, d) < 1e-12
-        elif want.candidate is not None:
-            assert np.max(np.abs(got.candidate - want.candidate)) < 1e-12
+def assert_matches_numeric_kernel(spec, verdict):
+    """The verdict against the numeric kernel of the dissipator: its
+    dimension, a candidate and family inside it, and the commutator."""
+    dim = kernel_dim(spec.lindblad)
+    d = dissipator_matrix(spec.lindblad)
+    if dim == 4:
+        assert isinstance(verdict, AllStates)
+        return
+    assert not isinstance(verdict, AllStates)
+    rho = candidate_of(verdict)
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    for m in (rho, *getattr(verdict, "family", ())):
+        assert np.linalg.norm(d @ m.ravel()) < 1e-11
+    assert len(getattr(verdict, "family", ())) == dim - 1
+    h = spec.hamiltonian.matrix
+    moves = np.linalg.norm(h @ rho - rho @ h) > 1e-8
+    assert isinstance(verdict, NoUnitons if moves or dim > 1 else StationaryPointerOnly)
 
 
 def _jordan_kernel(lam):
@@ -213,7 +220,7 @@ def _jordan_kernel(lam):
 class TestClosedFormAgainstNumericKernel:
     """The closed-form kernels of the canonical shapes, reached directly or
     by canonicalizing a rotated general form, against the numeric kernel of
-    the uniton tensor."""
+    the dissipator."""
 
     def _specs(self, rng):
         specs = []
@@ -234,7 +241,7 @@ class TestClosedFormAgainstNumericKernel:
         labels = set()
         for spec in self._specs(rng):
             verdict = classify_unitons(spec)
-            assert_same_verdict(verdict, _numeric_verdict(spec))
+            assert_matches_numeric_kernel(spec, verdict)
             labels.add(verdict.label)
         assert labels == {"AllStates", "StationaryPointerOnly", "None"}
 
@@ -243,16 +250,54 @@ class TestClosedFormAgainstNumericKernel:
             u = haar_unitary(rng)
             rot = rotated_general(spec, u)
             verdict = classify_unitons(rot)
-            assert_same_verdict(verdict, _numeric_verdict(rot))
+            assert_matches_numeric_kernel(rot, verdict)
+            assert verdict.label == classify_unitons(spec).label
             if isinstance(verdict, StationaryPointerOnly):
                 want = u @ classify_unitons(spec).rho @ u.conj().T
                 assert np.max(np.abs(verdict.rho - want)) < 1e-12
                 assert np.array_equal(verdict.rho, verdict.rho.conj().T)
 
     def test_dissipator_threshold(self):
-        # |mu| = |lambda1 conj(lambda2) - (|lambda1|^2 + |lambda2|^2) / 2| is
-        # about delta here; the dissipator vanishes for |mu| <= 1e-10.
-        for delta, kind in ((0.5e-10, AllStates), (2e-10, NoUnitons)):
+        # The dissipator of diag(1, 1 + i delta) vanishes only at delta = 0:
+        # the decision is on lambda1 - lambda2, not on its square.
+        for delta, kind in ((0.0, AllStates), (1e-12, NoUnitons), (2e-10, NoUnitons)):
             spec = SystemSpec(H_DIAG, DiagonalL(1.0, 1.0 + 1j * delta, 1.0))
             assert isinstance(classify_unitons(spec), kind)
-            assert isinstance(_numeric_verdict(spec), kind)
+
+
+class TestAgreesWithThePointerOfZeroHamiltonian:
+    """The uniton candidates are the stationary states of (H = 0, l), for
+    every input form, by construction."""
+
+    @staticmethod
+    def forms(rng):
+        lam = random_complex(rng)
+        u = haar_unitary(rng)
+        out = [DiagonalL(1.0, 1.0 + delta, 1.3) for delta in (3e-5, 1e-4)]
+        out += [DiagonalL(lam, lam, 0.7), JordanL(lam, 0.9), DiagonalL(lam, random_complex(rng), 1.1)]
+        out += [GeneralL(u @ f.small_l() @ u.conj().T, f.c) for f in list(out)]
+        out.append(GeneralL([[random_complex(rng) for _ in range(2)] for _ in range(2)], 0.8))
+        return out
+
+    def test_verdict_follows_the_pointer(self, rng):
+        for _ in range(10):
+            for form in self.forms(rng):
+                ptr = compute_pointer(SystemSpec(Hamiltonian.zero(), form))
+                verdict = classify_unitons(SystemSpec(random_hamiltonian(rng), form))
+                if isinstance(ptr, FullFamily):
+                    assert isinstance(verdict, AllStates)
+                elif isinstance(ptr, UniquePointer):
+                    assert np.max(np.abs(candidate_of(verdict) - ptr.rho)) < 1e-14
+                else:
+                    assert isinstance(ptr, (DiagonalFamily, LineFamily))
+                    assert isinstance(verdict, NoUnitons) and len(verdict.family) == 1
+                    assert pointer_residual(SystemSpec(Hamiltonian.zero(), form), verdict.candidate) < 1e-14
+
+    def test_near_scalar_diagonal_coupling(self):
+        # |lambda1 - lambda2|^2 is below 1e-8 here, but the dissipator is not zero.
+        for delta in (3e-5, 1e-4):
+            spec = SystemSpec(Hamiltonian.zero(), DiagonalL(1.0, 1.0 + delta, 1.0))
+            assert isinstance(compute_pointer(spec), DiagonalFamily)
+            assert isinstance(classify_unitons(spec), NoUnitons)
+
+

@@ -1,125 +1,146 @@
 """Assembly and evaluation of the full analytic solution.
 
-rho(t) is the stationary part plus a sum of modes, each an exponential in
-the decay rate times (for coinciding roots) a polynomial in t, with
-matrix-valued amplitudes fitted to the initial state.  The module also
-reduces single-real-mode solutions to the compact polar form and computes
-the time from which such a solution is a valid (positive) density matrix.
+rho(t) is the stationary part plus exp(tM) d0, with d0 the initial
+deviation and exp(tM) in the Newton form f[r1] + f[r1, r2] (M - r1) +
+f[r1, r2, r3] (M - r2)(M - r1) of f(z) = exp(z t) at the roots of M's cubic
+(Putzer, Amer. Math. Monthly 73, 1966), which is continuous where roots
+coincide.  The module also reduces single-real-mode solutions to the compact
+polar form and computes the time from which such a solution is a valid
+(positive) density matrix.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalError, NotReducibleError
-from .model import SystemSpec, as_density, det2
-from .numerics import scalar_norm, solve_pivoted3
+from .errors import NotReducibleError
+from .model import SystemSpec, as_density, coords, det2, direction_matrix, from_frame, to_frame
+from .numerics import _real_cubic, scalar_norm
 from .pointer import compute_pointer, representative
-from .spectral import ModeDecomposition, spectrum
+from .spectral import ModeDecomposition, generator_rows, spectrum
+
+# Nodes must solve M's cubic to rounding: each coefficient of prod (s - r)
+# within NODE_RTOL R^k, R = max |r|.  The rates of ``spectrum`` do (20 eps at
+# most on the benchmark systems) but near a coinciding root, where cubic_roots
+# leaves them jointly off by up to 1e-9; Cardano's roots (4 eps) stand in.
+NODE_RTOL = 64 * sys.float_info.epsilon
+# Divided differences of nodes closer than NODE_SEPARATION max |r| use expm1,
+# and a Taylor series where |r3 - r1| t < TAYLOR_SPAN, whose k-th term is below
+# (k + 1) TAYLOR_SPAN^k / (k + 2)!; the quotient used elsewhere loses at most
+# 2 / TAYLOR_SPAN (McCurdy, Ng and Parlett, Math. Comp. 43, 1984).
+NODE_SEPARATION = 0.125
+TAYLOR_SPAN = 0.25
+TAYLOR_TERMS = 13
+# A rate r carries the state when (M - r) d0 is below this share of the
+# largest |node| times max(1, |d0|), states having unit trace.
+REDUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class AnalyticSolution:
-    """Closed-form trajectory: pointer part plus fitted modes.
+    """Closed-form trajectory: pointer part plus the Newton form.
 
-    ``amplitudes`` has one entry per chain vector, flattened across modes in
-    order; chain vector j of a mode contributes amplitude * exp(rate t)
-    times t^(j-i)/ (j-i)! down its chain.
+    ``nodes`` are the roots of M's cubic, r1 and r3 farthest apart.  The
+    rows of ``terms`` are the coordinates of the pointer part, of
+    d0 = rho0 - pointer_part, of w1 = (M - r1) d0 and of w2 = (M - r2) w1:
+    rho(t) = [1, f[r1], f[r1, r2], f[r1, r2, r3]] . terms.
     """
 
     spec: SystemSpec
     pointer_part: np.ndarray
     modes: ModeDecomposition
-    amplitudes: np.ndarray
+    nodes: tuple[complex, complex, complex]
+    terms: np.ndarray
+
+
+def _minus(rows: list[list[complex]], r: complex, v: list[complex]) -> list[complex]:
+    """(M - r) v on Python scalars, M given by its rows."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    x, y, z = v
+    return [(a - r) * x + b * y + c * z, d * x + (e - r) * y + f * z, g * x + h * y + (i - r) * z]
 
 
 def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
-    """Fit the analytic solution to an initial density matrix.
+    """The analytic solution from an initial density matrix.
 
     The pointer part is the attracting state when it is unique and a family
-    representative otherwise (the zero-mode amplitude then absorbs the
-    family freedom); amplitudes solve the 3x3 system stacking all chain
-    vectors at t = 0 against the initial deviation.
+    representative otherwise (the deviation then carries the family
+    freedom).  The Newton vectors are computed in ``spectrum``'s frame and
+    mapped back through its U once.
     """
     rho0 = as_density(rho0)
-    ptr = compute_pointer(spec)
-    pointer_part = representative(ptr)
+    pointer_part = representative(compute_pointer(spec))
     md = spectrum(spec)
+    rates = [m.rate for m in md.modes for _ in m.vectors]
+    scale = spec.c**2 if md.scaled else 1.0
+    p2, p1, p0 = cubic = [p.real for p in md.cubic]
+    s1, s2, s3 = [r / scale for r in rates]
+    radius = max(abs(s1), abs(s2), abs(s3))
+    misses = (s1 + s2 + s3 + p2, s1 * s2 + s1 * s3 + s2 * s3 - p1, s1 * s2 * s3 + p0)
+    if any(abs(d) > NODE_RTOL * radius**k for k, d in enumerate(misses, 1)):
+        rates = [s * scale for s in _real_cubic(*cubic)]
+    r1, r2, r3 = max(itertools.permutations(rates), key=lambda r: abs(r[0] - r[2]))
 
-    fit = list(zip(*(v.tolist() for mode in md.modes for v in mode.vectors)))
-    (r00, r01), (r10, _) = rho0.tolist()
-    (p00, p01), (p10, _) = pointer_part.tolist()
-    dev = [r00 - p00, r01 - p01, r10 - p10]
-    amps = solve_pivoted3(fit, dev)
-    if amps is None:
-        raise InternalError("mode vectors do not span the deviation")
-    if not all(math.isfinite(a.real) and math.isfinite(a.imag) for a in amps):
-        raise InternalError("amplitude fit produced non-finite values")
-    a0, a1, a2 = amps
-    resid = scalar_norm([f0 * a0 + f1 * a1 + f2 * a2 - d for (f0, f1, f2), d in zip(fit, dev)])
-    if resid > 1e-9 * max(1.0, scalar_norm(dev)):
-        raise InternalError(f"amplitude fit residual {resid:.3e}")
-    return AnalyticSolution(
-        spec=spec, pointer_part=pointer_part, modes=md, amplitudes=np.array(amps)
-    )
+    dev = rho0 - pointer_part
+    d0 = coords(dev).tolist()
+    rows, frame = generator_rows(spec)
+    w1 = _minus(rows, r1, d0 if frame is None else coords(to_frame(dev, frame)).tolist())
+    w2 = _minus(rows, r2, w1)
+    if frame is not None:
+        back = from_frame(np.array([direction_matrix(w1), direction_matrix(w2)]), frame).tolist()
+        w1, w2 = ([m[0][0], m[0][1], m[1][0]] for m in back)
+    terms = np.array([coords(pointer_part).tolist(), d0, w1, w2])
+    return AnalyticSolution(spec, pointer_part, md, (r1, r2, r3), terms)
 
 
 def rho_at(sol: AnalyticSolution, t: float) -> np.ndarray:
-    """Density matrix at one time (Hermitian, unit trace; positivity is the
-    positivity window's business)."""
+    """Density matrix at one time (see ``trajectory``)."""
     return trajectory(sol, [float(t)])[0]
 
 
 def trajectory(sol: AnalyticSolution, ts) -> np.ndarray:
     """Stack of density matrices on a grid, shape (len(ts), 2, 2), exactly
-    Hermitian with f22 = 1 - f11.
-
-    (f11, f12) is the pointer plus sum_p t^p E (coef[p] * V), by Horner in
-    t, with E[:, i] = exp(rate t) and coef[p][i] = a_(i+p) / p! down the
-    chain of vector i.  One exponential per distinct rate: a real one for a
-    real rate; for a conjugate pair, one complex one and its conjugate.
-    """
+    Hermitian with f22 = 1 - f11: one (T, 4) . (4, 2) product of the
+    divided differences with the (f11, f12) columns of ``sol.terms``."""
     ts = np.asarray(ts, dtype=float)
-    amps = sol.amplitudes.tolist()
-    modes = sol.modes.modes
-    vectors = [v.tolist() for mode in modes for v in mode.vectors]
-    # terms[p][i] = coef[p][i] * (f11, f12) of v_i, on Python scalars.  The
-    # last column of E is 1 and the last row of terms[0] the pointer's
-    # (f11, f12), so the product at p = 0 adds the pointer.
-    terms = [[(0j, 0j)] * 4 for _ in range(max(len(mode.vectors) for mode in modes))]
-    terms[0][3] = tuple(sol.pointer_part.tolist()[0])
-    # E^T, one row per column of E, each row written in place.
-    exps = np.empty((4, len(ts)), dtype=complex)
-    exps[3] = 1.0
-    seen: dict[complex, int] = {}
-    col = 0
-    for mode in modes:
-        k, rate = len(mode.vectors), mode.rate
-        for i in range(col, col + k):
-            v11, v12, _ = vectors[i]
-            for p in range(col + k - i):
-                a = amps[i + p] / math.factorial(p)
-                terms[p][i] = (a * v11, a * v12)
-        if rate.imag == 0.0:
-            exps[col] = np.exp(rate.real * ts)
-        elif rate.conjugate() in seen:
-            np.conjugate(exps[seen[rate.conjugate()]], out=exps[col])
-        else:
-            np.exp(rate * ts, out=exps[col])
-        seen[rate] = col
-        if k > 1:
-            exps[col + 1 : col + k] = exps[col]
-        col += k
-    terms = np.array(terms)
-    # |exp(rate t)| <= 1 for this flow.
-    exps = exps.T
-    top = exps.dot(terms[-1])
-    for p in range(len(terms) - 2, -1, -1):
-        top = exps.dot(terms[p]) + ts[:, None] * top
+    r1, r2, r3 = sol.nodes
+    # One exponential per real node and per conjugate pair.
+    exps = {r: np.exp(r * ts if r.imag else r.real * ts) for r in sol.nodes if r.imag >= 0.0}
+    exps.update({r: np.conjugate(exps[r.conjugate()]) for r in sol.nodes if r.imag < 0.0})
+    close = NODE_SEPARATION * max(map(abs, sol.nodes))
+
+    def first_difference(p: complex, q: complex) -> np.ndarray:
+        """f[p, q], with expm1 based on the slower node when p, q are close."""
+        if abs(q - p) > close:
+            return (exps[q] - exps[p]) * (1.0 / (q - p))
+        if q.real > p.real:
+            p, q = q, p
+        return ts * exps[p] if q == p else exps[p] * np.expm1((q - p) * ts) * (1.0 / (q - p))
+
+    span = r3 - r1
+    weights = np.empty((len(ts), 4), dtype=complex)
+    weights[:, 0] = 1.0
+    weights[:, 1] = exps[r1]
+    weights[:, 2] = f12 = first_difference(r1, r2)
+    if span != 0:
+        weights[:, 3] = (first_difference(r2, r3) - f12) * (1.0 / span)
+    if abs(span) <= close:
+        # f[r1, r2, r3] = t^2 e^(r1 t) sum_k h_k(r2 - r1, span) t^k / (k + 2)!.
+        coef, h, power = [0.5], 1.0, 1.0
+        for k in range(1, TAYLOR_TERMS if span else 1):
+            power *= span
+            h = (r2 - r1) * h + power
+            coef.append(h / math.factorial(k + 2))
+        near = np.abs(ts) * abs(span) < TAYLOR_SPAN
+        tn = ts[near]
+        weights[near, 3] = tn * tn * exps[r1][near] * np.vander(tn, len(coef), True).dot(coef)
+    top = weights.dot(sol.terms[:, :2])
     out = np.empty((len(ts), 2, 2), dtype=complex)
     out[:, 0] = top
     out[:, 0, 0].imag = 0.0
@@ -157,86 +178,58 @@ class TimeWindow:
     valid: bool
 
 
-def single_mode_reduction(sol: AnalyticSolution, tol: float = 1e-10) -> SingleModeReduction:
+def single_mode_reduction(sol: AnalyticSolution) -> SingleModeReduction:
     """Reduce to the one-real-mode polar form.
 
-    Raises ``NotReducibleError`` when any oscillatory mode, polynomial
-    (chain) term, or second distinct decay rate carries amplitude above
-    tolerance.
+    The state is single-mode at a real decaying rate r exactly when (M - r) d0
+    vanishes, or M (M - r) d0 when 0 is a root; the pointer then absorbs the
+    zero-mode part -(M - r) d0 / r.  Both are read off the Newton vectors,
+    M d0 = w1 + r1 d0 and M w1 = w2 + r2 w1, and rates are judged on
+    ``spectrum``'s damping scale.  Raises ``NotReducibleError`` when no such
+    rate carries the whole deviation.
     """
-    c = sol.spec.c
-    scale = c * c if c > 0 else 1.0
-    zthr = 1e-12 * max(1.0, scale)
+    md = sol.modes
+    scale = sol.spec.c**2 if md.scaled else 1.0
+    r1, r2, _ = sol.nodes
+    _, d0, w1, w2 = sol.terms.tolist()
+    md0 = [w + r1 * d for w, d in zip(w1, d0)]
+    radius = max(map(abs, sol.nodes))
+    bound = REDUCTION_TOL * max(1.0, scalar_norm(d0))
+    real = [r.real for r in sol.nodes if r.imag == 0.0]
+    has_zero = any(abs(r) <= md.zero_tol for r in real)
 
-    # Python scalars throughout: the pointer entries, and the coordinates
-    # (f11, f12, f21) of the excited traceless part.
-    (p00, p01), (p10, p11) = sol.pointer_part.tolist()
-    excited: list[tuple[complex, list[complex]]] = []
-    amps = sol.amplitudes.tolist()
-    tol_abs = tol * max([1.0] + [abs(a) for a in amps])
-
-    idx = 0
-    for mode in sol.modes.modes:
-        k = len(mode.vectors)
-        rate = mode.rate
-        is_zero = abs(rate) <= zthr
-        for j in range(k):
-            a = amps[idx + j]
-            if abs(a) <= tol_abs:
-                continue
-            if j > 0:
-                raise NotReducibleError("polynomial (coinciding-root) term is excited")
-            x11, x12, x21 = (a * x for x in mode.vectors[0].tolist())
-            if is_zero:
-                p00, p01, p10, p11 = p00 + x11, p01 + x12, p10 + x21, p11 - x11
-            elif abs(rate.imag) > zthr:
-                raise NotReducibleError("complex-pair amplitude exceeds tolerance")
-            else:
-                excited.append((rate, [x11, x12, x21]))
-        idx += k
-    pointer_eff = np.array([[p00, p01], [p10, p11]], dtype=complex)
-
-    if not excited:
-        s3 = 0.0
-        for mode in sol.modes.modes:
-            if abs(mode.rate.imag) <= zthr and mode.rate.real < -zthr:
-                s3 = mode.rate.real / scale
-                break
-        return SingleModeReduction(
-            w=0.0, sign=1, h=0.0, p=0.0, beta=0.0, s3=s3, pointer=pointer_eff
-        )
-
-    rate0 = excited[0][0]
-    if any(abs(r - rate0) > 1e-8 * max(1.0, abs(r), abs(rate0)) for r, _ in excited[1:]):
-        raise NotReducibleError("two distinct real decay rates are excited")
-    x11, x12, x21 = map(sum, zip(*(v for _, v in excited)))
-    # The traceless matrix [[x11, x12], [x21, -x11]] must be Hermitian.
-    anti = x11 - x11.conjugate()
-    skew = scalar_norm((anti, x12 - x21.conjugate(), x21 - x12.conjugate(), anti))
-    if skew > 1e-9 * scalar_norm((x11, x12, x21, x11)):
-        raise InternalError("excited real mode is not Hermitian")
-
-    h_signed = x11.real
-    off = (x12 + x21.conjugate()) / 2.0
-    norm = math.hypot(h_signed, abs(off))
-    if h_signed != 0.0:
-        sigma = 1 if h_signed > 0 else -1
-    elif off.real != 0.0:
-        sigma = 1 if off.real > 0 else -1
+    for rate in dict.fromkeys(r for r in real if r < -md.zero_tol):
+        x = [a - rate * d for a, d in zip(md0, d0)]
+        # With a zero root, M (M - rate) d0 = w2 + r2 w1 + (r1 - rate) M d0 must vanish.
+        y = [a + r2 * b + (r1 - rate) * e for a, b, e in zip(w2, w1, md0)] if has_zero else x
+        if scalar_norm(y) <= bound * radius ** (2 if has_zero else 1):
+            zero = [-v / rate for v in x] if has_zero else [0j, 0j, 0j]
+            s3 = rate / scale
+            break
     else:
-        sigma = 1 if off.imag >= 0 else -1
-    h = (sigma * h_signed) / norm
-    off_c = sigma * off / norm
+        # No decaying rate carries the deviation, so it must be stationary.
+        if scalar_norm(md0) > bound * radius:
+            raise NotReducibleError("no single real decaying mode carries the deviation")
+        zero, s3 = d0, 0.0
+
+    # Hermitian parts (f11, f12) of the zero-mode part and of the excited d0 - zero.
+    z11, z12 = zero[0].real, (zero[1] + zero[2].conjugate()) / 2.0
+    (p00, p01), (p10, p11) = sol.pointer_part.tolist()
+    pointer_eff = np.array([[p00 + z11, p01 + z12], [p10 + z12.conjugate(), p11 - z11]])
+    h_signed = d0[0].real - z11
+    off = (d0[1] + d0[2].conjugate()) / 2.0 - z12
+    norm = math.hypot(h_signed, abs(off))
+    if norm <= REDUCTION_TOL:  # nothing is excited
+        norm, h_signed, off = 0.0, 0.0, 0j
+    # The sign of the first nonzero of h, Re off, Im off.
+    sigma = 1 if (h_signed, off.real, off.imag) >= (0.0, 0.0, 0.0) else -1
+    unit = sigma / norm if norm else 0.0
+    h = unit * h_signed
+    off_c = unit * off
     p = abs(off_c)
     beta = 2.0 * cmath.phase(off_c) if p > 1e-15 else 0.0
     return SingleModeReduction(
-        w=norm,
-        sign=sigma,
-        h=h,
-        p=p,
-        beta=beta,
-        s3=rate0.real / scale,
-        pointer=pointer_eff,
+        w=norm, sign=sigma, h=h, p=p, beta=beta, s3=s3, pointer=pointer_eff
     )
 
 

@@ -119,8 +119,9 @@ class NoAttractor:
 PointerResult = UniquePointer | DiagonalFamily | FullFamily | LineFamily | NoAttractor
 
 
-def _is_negligible(value: complex, *scales: float) -> bool:
-    return abs(value) < COINCIDENCE_RTOL * max(1.0, *scales)
+def _is_negligible(value: complex, hscale: float) -> bool:
+    """Relative to ||H||, so that scaling H and c^2 together keeps it."""
+    return abs(value) <= COINCIDENCE_RTOL * hscale
 
 
 def _from_frame_pointer(result: PointerResult, basis: np.ndarray) -> PointerResult:

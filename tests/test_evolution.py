@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from fgkls.evolution import (
 )
 from fgkls.model import (
     DiagonalL,
-    GeneralL,
     Hamiltonian,
     JordanL,
     SystemSpec,
@@ -33,7 +34,11 @@ from test_acceptance import (
     haar_unitary,
     jordan_double_root_spec,
     jordan_triple_root_spec,
+    rotated_general,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import liouville_ref  # noqa: E402
 
 AMP_DAMP = SystemSpec(Hamiltonian.diagonal(0.3, 0.3), JordanL(0.0, 1.0))
 GROUND = np.diag([0.0, 1.0]).astype(complex)
@@ -58,8 +63,8 @@ class TestSolveIvp:
             spec = random_spec(rng, form="jordan", c_range=(0.4, 2.0))
             rho_p = compute_pointer(spec).rho
             sol = solve_ivp(spec, rho_p)
-            assert np.max(np.abs(sol.amplitudes)) < 1e-12
-            assert np.max(np.abs(rho_at(sol, 3.7) - rho_p)) < 1e-12
+            states = trajectory(sol, np.linspace(0.0, 10.0 / spec.c**2, 50))
+            assert np.max(np.abs(states - rho_p)) < 1e-12
 
     def test_amplitude_damping_closed_form(self):
         sol = solve_ivp(AMP_DAMP, GROUND)
@@ -274,16 +279,20 @@ class TestPositivityWindow:
         assert count >= 10
 
 
-def literal_coords(sol, ts):
-    """The closed form written out term by term: the pointer plus, for each
-    chain vector v_i of each mode, exp(rate t) sum_{j >= i} a_j t^(j-i) / (j-i)! v_i."""
+def literal_coords(sol, rho0, ts):
+    """The modal sum written out term by term: amplitudes a fitted to
+    rho0 - pointer against the chain vectors of ``sol.modes``, then the
+    pointer plus, for each chain vector v_i of each mode,
+    exp(rate t) sum_{j >= i} a_j t^(j-i) / (j-i)! v_i."""
+    vectors = [v for mode in sol.modes.modes for v in mode.vectors]
+    amps = np.linalg.solve(np.column_stack(vectors), coords(rho0 - sol.pointer_part))
     out = [coords(sol.pointer_part) for _ in ts]
     idx = 0
     for mode in sol.modes.modes:
         k = len(mode.vectors)
         for i, v in enumerate(mode.vectors):
             for j in range(i, k):
-                a = sol.amplitudes[idx + j] / math.factorial(j - i)
+                a = amps[idx + j] / math.factorial(j - i)
                 for n, t in enumerate(ts):
                     out[n] = out[n] + a * cmath.exp(mode.rate * t) * t ** (j - i) * v
         idx += k
@@ -292,14 +301,19 @@ def literal_coords(sol, ts):
 
 class TestTrajectoryClosedForm:
     def _solutions(self, rng):
+        """(solution, initial state) pairs."""
         sols = []
+
+        def add(spec):
+            rho0 = random_density(rng)
+            sols.append((solve_ivp(spec, rho0), rho0))
+
         for form in ("diagonal", "jordan", "general"):
             for _ in range(10):
-                spec = random_spec(rng, form, c_range=(0.3, 2.0))
-                sols.append(solve_ivp(spec, random_density(rng)))
+                add(random_spec(rng, form, c_range=(0.3, 2.0)))
         for family in (jordan_double_root_spec, jordan_triple_root_spec, diagonal_double_root_spec):
             for _ in range(5):
-                sols.append(solve_ivp(family(rng), random_density(rng)))
+                add(family(rng))
         # Canonical systems, plain and with coinciding roots, passed as
         # general form in a random basis.
         for family in (
@@ -310,11 +324,7 @@ class TestTrajectoryClosedForm:
         ):
             for _ in range(3):
                 spec, u = family(rng), haar_unitary(rng)
-                rotated = SystemSpec(
-                    Hamiltonian(u @ spec.hamiltonian.matrix @ u.conj().T),
-                    GeneralL(u @ spec.lindblad.small_l() @ u.conj().T, spec.c),
-                )
-                sols.append(solve_ivp(rotated, random_density(rng)))
+                add(rotated_general(spec, u))
         return sols
 
     @staticmethod
@@ -323,17 +333,17 @@ class TestTrajectoryClosedForm:
 
     def test_matches_the_per_mode_sum(self, rng):
         chains = 0
-        for sol in self._solutions(rng):
+        for sol, rho0 in self._solutions(rng):
             chains += any(len(m.vectors) > 1 for m in sol.modes.modes)
             for ts in self._grids(sol):
                 got = trajectory(sol, ts)
                 assert got.shape == (len(ts), 2, 2)
-                assert np.max(np.abs(got - from_coords(literal_coords(sol, ts)))) < 1e-13
+                assert np.max(np.abs(got - from_coords(literal_coords(sol, rho0, ts)))) < 1e-13
         # Every coinciding-root solution carries a Jordan chain.
         assert chains >= 15
 
     def test_states_are_exactly_hermitian_with_unit_trace(self, rng):
-        for sol in self._solutions(rng):
+        for sol, _ in self._solutions(rng):
             for ts in self._grids(sol):
                 states = trajectory(sol, ts)
                 f11, f12 = states[:, 0, 0], states[:, 0, 1]
@@ -361,3 +371,49 @@ def test_generic_canonical_pipeline_needs_no_svd_or_lstsq(rng, monkeypatch):
         sol = solve_ivp(spec, rho0)
         trajectory(sol, np.linspace(0.0, 5.0, 20))
         classify_unitons(spec)
+
+
+# Systems a distance d off each coinciding-root manifold, at c = 1.
+NEAR_MANIFOLD = {
+    # l = sigma_plus, H = [[g/2, h], [h, -g/2]] with h^2 = 1/54, g^2 = 1/108 + d.
+    "triple": lambda d: SystemSpec(
+        Hamiltonian(
+            [
+                [math.sqrt(1 / 108 + d) / 2, math.sqrt(1 / 54)],
+                [math.sqrt(1 / 54), -math.sqrt(1 / 108 + d) / 2],
+            ]
+        ),
+        JordanL(0.0, 1.0),
+    ),
+    # l = lambda (1 + d) I + sigma_plus with |lambda| = 1/4, H = 0.2 I.
+    "jordan double": lambda d: SystemSpec(
+        Hamiltonian.diagonal(0.2, 0.2), JordanL(0.25 * cmath.exp(0.7j) * (1 + d), 1.0)
+    ),
+    # l = diag(1, 0), H = [[0.1, 1/8 + d], [1/8 + d, 0.1]].
+    "diagonal double": lambda d: SystemSpec(
+        Hamiltonian([[0.1, 0.125 + d], [0.125 + d, 0.1]]), DiagonalL(1.0, 0.0, 1.0)
+    ),
+}
+NEAR_MANIFOLD_DISTANCES = [0.0, 1e-16, 1e-14] + [10.0**k for k in range(-13, -2)]
+
+
+@pytest.mark.parametrize("family", sorted(NEAR_MANIFOLD))
+def test_near_manifold_states_match_the_reference(family):
+    """Towards each manifold, in canonical form and rotated into general
+    form: nothing raises, the rates rebuild the reference's cubic and the
+    states match the reference Liouvillian within 1e-11."""
+    rng = np.random.default_rng(41)
+    rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    ts = np.linspace(0.0, 8.0, 41)
+    for d in NEAR_MANIFOLD_DISTANCES:
+        u = haar_unitary(rng)
+        canonical = NEAR_MANIFOLD[family](d)
+        for spec, start in ((canonical, rho0), (rotated_general(canonical, u), u @ rho0 @ u.conj().T)):
+            ref = liouville_ref.Reference(
+                spec.hamiltonian.matrix, spec.c * spec.lindblad.small_l()
+            )
+            rates = [m.rate for m in spectrum(spec).modes for _ in m.vectors]
+            assert liouville_ref.check_rates(ref, rates) == [], (family, d)
+            states = trajectory(solve_ivp(spec, start), ts)
+            want = np.array([ref.state(start, t) for t in ts])
+            assert np.max(np.abs(states - want)) <= 1e-11, (family, d)

@@ -1,11 +1,15 @@
-"""Unitary covariance of the pipeline.
+"""Unitary covariance of the pipeline, and its time-rescaling symmetry.
 
 A system rotated by a unitary U and passed in general form must give
 U (result) U^dag of the unrotated system: the same pointer, rates,
 trajectory and uniton verdict up to the change of basis.  Every input form
 reaches the same canonical form, so this holds for non-normal l with
-distinct eigenvalues as well.
+distinct eigenvalues as well.  Scaling H by a and c by sqrt(a) scales the
+generator by a and changes nothing else.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,9 +20,16 @@ from fgkls import model, spectral
 from fgkls.evolution import solve_ivp, trajectory
 from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec, from_frame
 from fgkls.oracle import IntegratorConfig, integrate
-from fgkls.pointer import FullFamily, LineFamily, UniquePointer, compute_pointer, pointer_residual
+from fgkls.pointer import (
+    FullFamily,
+    LineFamily,
+    UniquePointer,
+    compute_pointer,
+    pointer_residual,
+    representative,
+)
 from fgkls.sampling import random_complex, random_density, random_spec
-from fgkls.spectral import char_cubic, spectrum
+from fgkls.spectral import assert_stability, char_cubic, spectrum
 from fgkls.uniton import NoUnitons, StationaryPointerOnly, classify_unitons
 from test_acceptance import (
     diagonal_double_root_spec,
@@ -83,6 +94,34 @@ def test_rotated_general_form_is_the_frame_mapped_canonical_result(seed, family)
     mapped = np.array([from_frame(r, u) for r in trajectory(solve_ivp(spec, rho0), ts)])
     assert np.max(np.abs(traj - mapped)) < 1e-9
     assert np.max(np.abs(traj - oracle)) < 1e-6
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    form=st.sampled_from(["diagonal", "jordan", "general"]),
+    log_alpha=st.floats(-12.0, 12.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_scaling_h_and_c_squared_together_only_rescales_time(seed, form, log_alpha):
+    """(H, c) -> (a H, sqrt(a) c) takes M to a M: the structure, the
+    stability verdict and the pointer stay, and every rate scales by a."""
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, form, c_range=(0.3, 2.0))
+    alpha = 10.0**log_alpha
+    scaled = SystemSpec(
+        Hamiltonian(alpha * spec.hamiltonian.matrix),
+        dataclasses.replace(spec.lindblad, c=math.sqrt(alpha) * spec.c),
+    )
+    md, md_scaled = spectrum(spec), spectrum(scaled)
+    assert md_scaled.structure is md.structure
+    assert assert_stability(md_scaled, scaled) is assert_stability(md, spec)
+    want = rates(spec)
+    got = [r / alpha for r in rates(scaled)]
+    assert max_rate_mismatch(got, want) <= 1e-9 * max(map(abs, want))
+
+    ptr, ptr_scaled = compute_pointer(spec), compute_pointer(scaled)
+    assert type(ptr_scaled) is type(ptr) and ptr_scaled.label == ptr.label
+    assert np.max(np.abs(representative(ptr_scaled) - representative(ptr))) <= 1e-9
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ polar form and computes the time from which such a solution is a valid
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotReducibleError
-from .model import SystemSpec, as_density, coords, det2, direction_matrix, from_frame, to_frame
+from .model import SystemSpec, as_density, coords_from_frame, dagger2, det2
 from .numerics import _real_cubic, scalar_norm
 from .pointer import compute_pointer, representative
 from .spectral import ModeDecomposition, generator_rows, spectrum
@@ -59,11 +58,10 @@ class AnalyticSolution:
     terms: np.ndarray
 
 
-def _minus(rows: list[list[complex]], r: complex, v: list[complex]) -> list[complex]:
-    """(M - r) v on Python scalars, M given by its rows."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
+def _minus(rows: list[list[complex]], unit: float, r: complex, v) -> list[complex]:
+    """(M - r) v on Python scalars, M given by the rows of M / unit."""
     x, y, z = v
-    return [(a - r) * x + b * y + c * z, d * x + (e - r) * y + f * z, g * x + h * y + (i - r) * z]
+    return [unit * (a * x + b * y + c * z) - r * w for (a, b, c), w in zip(rows, v)]
 
 
 def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
@@ -85,17 +83,20 @@ def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
     misses = (s1 + s2 + s3 + p2, s1 * s2 + s1 * s3 + s2 * s3 - p1, s1 * s2 * s3 + p0)
     if any(abs(d) > NODE_RTOL * radius**k for k, d in enumerate(misses, 1)):
         rates = [s * scale for s in _real_cubic(*cubic)]
-    r1, r2, r3 = max(itertools.permutations(rates), key=lambda r: abs(r[0] - r[2]))
+    # r1 and r3 farthest apart, the first such pair in the order of rates.
+    a, b, c = rates
+    gaps = (abs(a - c), abs(a - b), abs(b - c))
+    r1, r2, r3 = ((a, b, c), (a, c, b), (b, a, c))[gaps.index(max(gaps))]
 
-    dev = rho0 - pointer_part
-    d0 = coords(dev).tolist()
-    rows, frame = generator_rows(spec)
-    w1 = _minus(rows, r1, d0 if frame is None else coords(to_frame(dev, frame)).tolist())
-    w2 = _minus(rows, r2, w1)
+    (f00, f01), (f10, _) = rho0.tolist()
+    (q00, q01), (q10, _) = pointer_part.tolist()
+    d0 = [f00 - q00, f01 - q01, f10 - q10]
+    rows, frame, unit = generator_rows(spec)
+    w1 = _minus(rows, unit, r1, d0 if frame is None else coords_from_frame(d0, dagger2(frame)))
+    w2 = _minus(rows, unit, r2, w1)
     if frame is not None:
-        back = from_frame(np.array([direction_matrix(w1), direction_matrix(w2)]), frame).tolist()
-        w1, w2 = ([m[0][0], m[0][1], m[1][0]] for m in back)
-    terms = np.array([coords(pointer_part).tolist(), d0, w1, w2])
+        w1, w2 = coords_from_frame(w1, frame), coords_from_frame(w2, frame)
+    terms = np.array([[q00, q01, q10], d0, w1, w2])
     return AnalyticSolution(spec, pointer_part, md, (r1, r2, r3), terms)
 
 

@@ -18,15 +18,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, InputError
-from .numerics import eigvec_unitary, finite_matrix, schur2, unit_scaled
+from .numerics import eigvec2, finite_matrix
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 HERMITICITY_ATOL = 1e-14
+EPS = sys.float_info.epsilon
 # Rounding level of the shape decisions on a general l, relative to its
 # largest entry (see ``_general_shape``).
-SHAPE_RTOL = 64 * sys.float_info.epsilon
+SHAPE_RTOL = 64 * EPS
 # The closed forms take up to the sixth power of H' / c'^2 (the cubic's
 # discriminant), so its entries must stay below the sixth root of the
 # largest float.
@@ -194,7 +195,10 @@ class Canonical:
 
     ``gap`` and ``h01`` are the level gap and (0, 1) entry of U^dag H U,
     ``gauge`` those of the gauge term over c'^2, ``scaled`` those of
-    H' / c'^2, and ``basis`` is U (rho' = U^dag rho U), or None for U = I.
+    H' / c'^2 and ``err`` a bound on the rounding of the latter, which is
+    eps times the size of the terms they were formed from.  ``basis`` holds
+    the entries ((u00, u01), (u10, u11)) of U as Python scalars
+    (rho' = U^dag rho U), or None for U = I.
     """
 
     c: float
@@ -204,29 +208,42 @@ class Canonical:
     h01: complex
     gauge: tuple[float, complex]
     scaled: tuple[float, complex]
-    basis: np.ndarray | None
+    basis: Entries2 | None
+    err: float
 
 
-def to_frame(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Map a state into the canonical frame: U^dag rho U."""
-    return basis.conj().T @ rho @ basis
+def coords_from_frame(v, u: Entries2) -> tuple[complex, complex, complex]:
+    """Coordinates (f11, f12, f21) of U m U^dag for the traceless matrix m
+    with coordinates v, on Python scalars."""
+    a, b, c = v
+    (p, r), (q, s) = u
+    pc, rc, qc, sc = p.conjugate(), r.conjugate(), q.conjugate(), s.conjugate()
+    return (
+        a * (p * pc - r * rc) + b * p * rc + c * r * pc,
+        a * (p * qc - r * sc) + b * p * sc + c * r * qc,
+        a * (q * pc - s * rc) + b * q * rc + c * s * pc,
+    )
 
 
-def from_frame(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Map a canonical-frame state back: U rho U^dag."""
-    return basis @ rho @ basis.conj().T
+def dagger2(u: Entries2) -> Entries2:
+    """Entries of U^dag."""
+    (p, r), (q, s) = u
+    return (p.conjugate(), q.conjugate()), (r.conjugate(), s.conjugate())
 
 
-def from_frame_hermitian(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``from_frame`` of a Hermitian matrix, symmetrized so that it stays
-    Hermitian past rounding."""
-    r = from_frame(m, basis)
-    return 0.5 * (r + r.conj().T)
+def hermitian_from_frame(m, u: Entries2) -> np.ndarray:
+    """U m U^dag for a Hermitian 2x2 m given by its rows, as an exactly
+    Hermitian array: the trace part stays, the traceless part maps."""
+    (a, b), (g, d) = m
+    x, y, _ = coords_from_frame((0.5 * (a - d), b, g), u)
+    mean = 0.5 * (a + d).real
+    return np.array([[mean + x.real, y], [y.conjugate(), mean - x.real]], dtype=complex)
 
 
-def _general_shape(l0: np.ndarray, lmax: float) -> tuple[complex, complex, float, np.ndarray]:
-    """(x, t, s, U) with U^dag l0 U = s [[x, t], [~0, -x]] for a traceless
-    2x2 matrix l0 != 0, before phases and normalization.
+def _general_shape(e: complex, b: complex, g: complex, lmax: float):
+    """(x, t, s, (p, q)) with U^dag l0 U = s [[x, t], [~0, -x]] for the
+    traceless l0 = [[e, b], [g, -e]] != 0 and U = [[p, -conj q], [q, conj p]]
+    (None for U = I), before phases and normalization.
 
     The decisions are taken on l0 / s, whose largest entry is O(1), against
     the rounding that entries of size lmax leave there: t is zero (l0 is
@@ -235,17 +252,24 @@ def _general_shape(l0: np.ndarray, lmax: float) -> tuple[complex, complex, float
     eigenvector at the exact mean 0 leaves a residual of the size of the
     discriminant, where a split eigenvalue would leave its square root.
     """
-    scale, n = unit_scaled(l0)
-    (e, b), (g, _) = n.tolist()
+    # Divide by the power of two s that puts the largest entry in [1, 2), real and
+    # imaginary parts apart: exact (complex division by a subnormal s overflows).
+    scale = math.ldexp(1.0, math.frexp(max(abs(e), abs(b), abs(g)))[1] - 1)
+    e, b, g = (complex(z.real / scale, z.imag / scale) for z in (e, b, g))
     tol = SHAPE_RTOL * lmax / scale
     coincide = abs(e * e + b * g) <= tol
-    u = eigvec_unitary(n, 0.0) if coincide else schur2(n)[0]
-    (x, t), _ = (u.conj().T @ n @ u).tolist()
-    return (0j if coincide else x), (0j if abs(t) <= tol else t), scale, u
+    if not coincide and g == 0:
+        return e, (0j if abs(b) <= tol else b), scale, None
+    p, q = eigvec2(e, b, g, -e, 0.0 if coincide else None)
+    pc, qc = p.conjugate(), q.conjugate()
+    x = 0j if coincide else e * (p * pc - q * qc) + b * pc * q + g * p * qc
+    t = b * pc * pc - g * qc * qc - 2.0 * e * pc * qc
+    return x, (0j if abs(t) <= tol else t), scale, (p, q)
 
 
 def canonicalize(spec: SystemSpec) -> Canonical:
-    """The canonical system (H', c', x, t) and frame U of a spec with c > 0.
+    """The canonical system (H', c', x, t) and frame U of a spec with c > 0,
+    on Python scalars.
 
     A ``DiagonalL`` or ``JordanL`` shape is exact and keeps U = I; the
     shape of a ``GeneralL`` is decided at the rounding level of its
@@ -255,42 +279,47 @@ def canonicalize(spec: SystemSpec) -> Canonical:
     form, c = spec.lindblad, spec.c
     (a, b), (g, d) = form.entries
     mu = (a + d) / 2.0
-    # l0 = scale [[x, t], [~0, -x]] in the frame basis (None: U = I).
-    x, t, scale, basis = (a - d) / 2.0, 0j, 1.0, None
+    lmax = max(abs(a), abs(b), abs(g), abs(d))
+    # l0 = scale [[x, t], [~0, -x]] in the frame of vec = (p, q) (None: U = I).
+    x, t, scale, vec = (a - d) / 2.0, 0j, 1.0, None
     if isinstance(form, JordanL):
         x, t = 0j, 1 + 0j
     elif isinstance(form, GeneralL):
-        lmax = max(abs(a), abs(b), abs(g), abs(d))
         if max(abs(x), abs(b), abs(g)) > SHAPE_RTOL * lmax:
-            x, t, scale, basis = _general_shape(np.array([[x, b], [g, -x]]), lmax)
+            x, t, scale, vec = _general_shape(x, b, g, lmax)
         else:
-            x, basis = 0j, np.eye(2, dtype=complex)
+            x = 0j
     norm = math.hypot(abs(x), abs(t))
     if norm == 0.0:
         # Scalar l: the dissipator vanishes and so does the gauge term.
-        c_new, x, t, gauge = c, 0.0, 0.0, (0.0, 0j)
+        c_new, x, t, gauge, lsize, turn = c, 0.0, 0.0, (0.0, 0j), 0.0, 1.0
     else:
         # A phase of L makes x real and nonnegative, one of the second
         # basis vector makes t so.
         phase = x / abs(x) if x else 1.0
         turn = abs(t) * phase / t if t else 1.0
-        if turn != 1.0:
-            basis = (np.eye(2, dtype=complex) if basis is None else basis) * [1.0, turn]
         m = mu * phase.conjugate() / (scale * norm)
         c_new, x, t = c * scale * norm, abs(x) / norm, abs(t) / norm
         gauge = (2.0 * x * m.imag, 0.5j * m.conjugate() * t)
-    if basis is None:
-        (h00, h01), (_, h11) = spec.hamiltonian.entries
-    else:
-        (h00, h01), (_, h11) = (basis.conj().T @ spec.hamiltonian.matrix @ basis).tolist()
-    gap = h00.real - h11.real
+        lsize = lmax / (scale * norm)
+    (h00, h01), (_, h11) = spec.hamiltonian.entries
+    gap, basis = h00.real - h11.real, None
+    # The gap and h01 round at their own size, or in a rotated frame at the
+    # size of the whole of H.
+    hsize = math.hypot(gap, abs(h01))
+    if vec is not None or turn != 1.0:
+        p, q = vec or (1 + 0j, 0j)
+        basis = ((p, -q.conjugate() * turn), (q, p.conjugate() * turn))
+        hsize = math.hypot(h00.real, h11.real, abs(h01), abs(h01))
+        x0, h01, _ = coords_from_frame((0.5 * gap, h01, h01.conjugate()), dagger2(basis))
+        gap = 2.0 * x0.real
     c2 = c_new * c_new
     if not sys.float_info.min <= c2 < math.inf:
         raise ContractError(f"c'^2 = {c2!r} is not a normal float")
     scaled = (gap / c2 + gauge[0], h01 / c2 + gauge[1])
     if not (abs(scaled[0]) <= SCALED_MAX and abs(scaled[1]) <= SCALED_MAX):
         raise ContractError("H' / c'^2 is beyond the range of the closed forms")
-    return Canonical(c_new, x, t, gap, h01, gauge, scaled, basis)
+    return Canonical(c_new, x, t, gap, h01, gauge, scaled, basis, EPS * (hsize / c2 + lsize))
 
 
 def gauge_shift(hamiltonian: Hamiltonian, lam: complex, c: float) -> Hamiltonian:
@@ -357,7 +386,8 @@ def as_density(rho, tol: float = 1e-9) -> np.ndarray:
     trace_dev = abs(trace - 1.0)
     if trace_dev > tol:
         raise InputError(f"density matrix trace deviates by {trace_dev:.3e}")
-    return np.array(sym) / trace.real
+    t = trace.real
+    return np.array([[complex(z.real / t, z.imag / t) for z in row] for row in sym])
 
 
 def coords(rho: np.ndarray) -> np.ndarray:
@@ -388,23 +418,3 @@ def dagger_coords(x) -> tuple[complex, complex, complex]:
     points are the Hermitian matrices."""
     x0, x1, x2 = x
     return x0.conjugate(), x2.conjugate(), x1.conjugate()
-
-
-def hermitian_span(mats) -> list[np.ndarray]:
-    """Real basis of the Hermitian matrices in the span of 2x2 matrices,
-    for a span closed under the adjoint.
-
-    Symmetrizing the spanning matrices one by one can give dependent
-    results, so the Hermitian slice is extracted as a real subspace.
-    """
-    rows = []
-    for m in mats:
-        for w in (0.5 * (m + m.conj().T), 0.5j * (m - m.conj().T)):
-            rows.append([w[0, 0].real, w[0, 1].real, w[0, 1].imag, w[1, 1].real])
-    if not rows:
-        return []
-    _, s, vh = np.linalg.svd(np.array(rows))
-    rank = int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))
-    return [
-        np.array([[a, x + 1j * y], [x - 1j * y, d]], dtype=complex) for a, x, y, d in vh[:rank]
-    ]

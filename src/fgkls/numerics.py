@@ -397,17 +397,23 @@ def solve3(m, b) -> Solve3Result:
     return SolutionFamily(particular=x, nullspace=nullvecs)
 
 
-def eigvec_unitary(m: np.ndarray, mu: complex) -> np.ndarray:
-    """Unitary whose first column is an eigenvector of the 2x2 matrix m for
-    its eigenvalue mu, taken from the larger row of m - mu I."""
-    (m00, m01), (m10, m11) = m.tolist()
-    cand1 = (m01, mu - m00)
-    cand2 = (mu - m11, m10)
+def eigvec2(a: complex, b: complex, g: complex, d: complex, mu: complex | None = None):
+    """Unit eigenvector (p, q) of [[a, b], [g, d]] for its eigenvalue mu, by
+    default the larger one (the better conditioned, for entries of order
+    one), taken from the larger row of m - mu I, on Python scalars."""
+    if mu is None:
+        # (a - d)^2 + 4 b g equals tr^2 - 4 det without the cancellation.
+        disc = cmath.sqrt((a - d) ** 2 + 4.0 * b * g)
+        mu = max((a + d + disc) / 2.0, (a + d - disc) / 2.0, key=abs)
+    cand1 = (b, mu - a)
+    cand2 = (mu - d, g)
     p, q = cand1 if max(map(abs, cand1)) >= max(map(abs, cand2)) else cand2
+    if max(abs(p), abs(q)) < 1e-290:
+        # Near-subnormal parts lose bits in abs and the division; lift exactly.
+        p, q = p * 2.0**600, q * 2.0**600
     # hypot scales internally: no square underflows for entries near 1e-160.
     r = math.hypot(abs(p), abs(q))
-    p, q = p / r, q / r
-    return np.array([[p, -q.conjugate()], [q, p.conjugate()]])
+    return p / r, q / r
 
 
 def schur2(m) -> tuple[np.ndarray, np.ndarray]:
@@ -423,12 +429,8 @@ def schur2(m) -> tuple[np.ndarray, np.ndarray]:
     # Work on n = m / max|m| so that the discriminant neither underflows nor
     # overflows at extreme scales.
     _, n = unit_scaled(m)
-    (a, b), (g, d) = n.tolist()
-    # (a - d)^2 + 4 b g equals tr^2 - 4 det without the cancellation.
-    disc = cmath.sqrt((a - d) ** 2 + 4.0 * b * g)
-    # The eigenvector of the larger eigenvalue is the better conditioned.
-    mu = max((a + d + disc) / 2.0, (a + d - disc) / 2.0, key=abs)
-    u = eigvec_unitary(n, mu)
+    p, q = eigvec2(*n.ravel().tolist())
+    u = np.array([[p, -q.conjugate()], [q, p.conjugate()]])
     t = u.conj().T @ m @ u
     t[1, 0] = 0.0
     return u, t

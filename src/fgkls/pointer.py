@@ -16,12 +16,12 @@ is attracting, reported as ``NoAttractor``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .generator import rhs
-from .model import Canonical, SystemSpec, det2, from_frame_hermitian
+from .model import Canonical, Entries2, SystemSpec, det2, hermitian_from_frame
 from .numerics import COINCIDENCE_RTOL
 
 _IDENTITY_HALF = np.eye(2, dtype=complex) / 2.0
@@ -124,25 +124,21 @@ def _is_negligible(value: complex, hscale: float) -> bool:
     return abs(value) <= COINCIDENCE_RTOL * hscale
 
 
-def _from_frame_pointer(result: PointerResult, basis: np.ndarray) -> PointerResult:
+def _from_frame_pointer(result: PointerResult, basis: Entries2) -> PointerResult:
     """Map a canonical-frame result back to the caller's frame.  The diagonal
     family is diagonal only in the canonical frame; elsewhere it is a line."""
 
     def back(m: np.ndarray) -> np.ndarray:
-        return from_frame_hermitian(m, basis)
+        return hermitian_from_frame(m.tolist(), basis)
 
     if isinstance(result, UniquePointer):
-        return replace(result, rho=back(result.rho))
+        return UniquePointer(back(result.rho), result.label)
     if isinstance(result, DiagonalFamily):
-        return LineFamily(base=back(result.base), direction=back(result.directions[0]))
+        return LineFamily(back(result.base), back(result.directions[0]))
     if isinstance(result, LineFamily):
-        return replace(result, base=back(result.base), direction=back(result.direction))
+        return LineFamily(back(result.base), back(result.direction), result.label)
     if isinstance(result, FullFamily):
-        return replace(
-            result,
-            base=back(result.base),
-            directions=tuple(back(d) for d in result.directions),
-        )
+        return FullFamily(back(result.base), tuple(map(back, result.directions)), result.label)
     return result
 
 

@@ -8,13 +8,17 @@ diagonal (t = 0) and Jordan (x = 0) shapes (which turn exponentials into
 exponentials times polynomials) are closed forms in (H' / c'^2, x, t); the
 branches are recognized from conditions in parameter space, where
 detection is well-conditioned even though the roots themselves are not.
-Modes are mapped back through the frame U.
+
+The generator is an arrowhead matrix, rows [m10, m11, 0] and [conj m10, 0,
+conj m11] below the first, and its modes are closed forms on Python scalars:
+eigenvectors are row cross products, chain links minimum-norm solutions, and
+a multiple root has two eigenvectors only where m10 or m01 vanishes and m11
+is real.  Modes are mapped back through the frame U.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,29 +26,15 @@ import numpy as np
 
 from .errors import InternalError
 from .generator import build_generator
-from .model import (
-    Canonical,
-    SystemSpec,
-    coords,
-    dagger_coords,
-    direction_matrix,
-    from_frame,
-    hermitian_span,
-)
-from .numerics import cubic_roots, scalar_norm
+from .model import EPS, Canonical, Entries2, SystemSpec, coords_from_frame, dagger_coords, direction_matrix
+from .numerics import COINCIDENCE_RTOL, cubic_roots, unit_scaled
 
-# Branch conditions are exact equalities; they are accepted when satisfied
-# to this absolute defect on O(1)-normalized data, a bound on their rounding
-# (at most 266 eps on the manifold benchmark's systems): only systems on a
-# coinciding-root manifold are snapped onto it.
-BRANCH_TOL = 1024 * sys.float_info.epsilon
-# Ties in the double-vs-triple sign test resolve to the triple branch.
-TIE_TOL = 1e-12
-# (M - rate I) loses a rank for each singular value below
-# GEO_RTOL * max(1, largest singular value): the geometric multiplicity.
-GEO_RTOL = 1e-6
-# Residual allowed to eigenvectors and chain vectors, relative to max(1, ||M||).
-CHAIN_RTOL = 1e-8
+# A branch condition is an exact equality.  It is accepted when its two
+# sides agree to BRANCH_SLACK times a first-order bound on their rounding:
+# eps on each term, plus what the rounding of H' / c'^2 (Canonical.err)
+# makes of the invariants.  So only systems on a coinciding-root manifold
+# are snapped onto it.
+BRANCH_SLACK = 8.0
 
 
 class SpectrumStructure(str, Enum):
@@ -66,13 +56,13 @@ class StabilityVerdict(str, Enum):
 class Mode:
     """One (possibly generalized) mode of the homogeneous flow.
 
-    ``vectors`` is a Jordan chain: vectors[0] is a true eigenvector and
-    (M - rate) vectors[j+1] = vectors[j].  A chain of length k contributes
-    exp(rate * t) times a polynomial of degree poly_degree = k - 1.
+    ``vectors`` is a Jordan chain of triples (f11, f12, f21): vectors[0] is
+    a true eigenvector and (M - rate) vectors[j+1] = vectors[j].  A chain of
+    length k contributes exp(rate * t) times a polynomial of degree k - 1.
     """
 
     rate: complex
-    vectors: tuple[np.ndarray, ...]
+    vectors: tuple[tuple[complex, complex, complex], ...]
 
     @property
     def poly_degree(self) -> int:
@@ -119,18 +109,16 @@ def _canonical_cubic(canon: Canonical) -> tuple[float, float, float]:
     return 4.0 * x2 + 2.0 * t2, p1, p0
 
 
-def _canonical_rows(canon: Canonical) -> list[list[complex]]:
-    """Rows of the canonical generator on (f11, f12, f21), in rates."""
+def _scaled_rows(canon: Canonical) -> list[list[complex]]:
+    """Rows of the canonical generator on (f11, f12, f21) over c'^2, in s."""
     x, t = canon.x, canon.t
     g, h = canon.scaled
-    c2 = canon.c * canon.c
     xt = x * t
-    a = 2.0 * x * x + 0.5 * t * t
-    m01 = c2 * (1j * h.conjugate() + 0.5 * xt)
-    m10 = c2 * (2j * h + xt)
-    m11 = -c2 * complex(a, g)
+    m01 = 1j * h.conjugate() + 0.5 * xt
+    m10 = 2j * h + xt
+    m11 = -complex(2.0 * x * x + 0.5 * t * t, g)
     return [
-        [-c2 * t * t, m01, m01.conjugate()],
+        [complex(-t * t), m01, m01.conjugate()],
         [m10, m11, 0j],
         [m10.conjugate(), 0j, m11.conjugate()],
     ]
@@ -159,52 +147,55 @@ def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
     return (complex(p2 * k), complex(p1 * k * k), complex(p0 * k**3))
 
 
-def jordan_coincident_roots(
-    gap_sq: float, coupling_sq: float, tol: float = BRANCH_TOL
-) -> list[tuple[float, int]] | None:
-    """Closed-form coinciding roots for the Jordan cubic, if its branch
-    conditions hold within tol.  Returns [(s, multiplicity), ...] or None."""
-    e, k = gap_sq, coupling_sq
-    if abs(k - 1.0 / 54.0) <= tol and abs(e - 1.0 / 108.0) <= tol:
-        return [(-2.0 / 3.0, 3)]
-    if e + 4.0 * k < 1.0 / 12.0:
-        lhs = (0.25 - 3.0 * e - 12.0 * k) ** 3
-        rhs = (0.125 + 4.5 * e - 9.0 * k) ** 2
-        if abs(lhs - rhs) <= tol:
-            root = math.sqrt(max(0.25 - 3.0 * e - 12.0 * k, 0.0))
-            sign_test = 1.0 / 36.0 + e - 2.0 * k
-            if abs(sign_test) < TIE_TOL:
-                return [(-2.0 / 3.0, 3)]
-            if sign_test > 0:
-                return [(-2.0 / 3.0 + root / 3.0, 2), (-2.0 / 3.0 - 2.0 * root / 3.0, 1)]
-            return [(-2.0 / 3.0 - root / 3.0, 2), (-2.0 / 3.0 + 2.0 * root / 3.0, 1)]
+def _near(a: float, b: float, err: float) -> bool:
+    """a == b to BRANCH_SLACK times err, the propagated rounding of their
+    terms, plus eps of their own size."""
+    return abs(a - b) <= BRANCH_SLACK * (err + EPS * (abs(a) + abs(b)))
+
+
+def _coincident_roots(musq, e12_sq, detune_sq, err, center, side):
+    """Coinciding roots of the diagonal cubic, or of one with its conditions
+    (see ``jordan_coincident_roots``): the triple root at center, or the
+    double root on the side of center that side * w picks."""
+    m4 = musq * musq
+    if _near(e12_sq, m4 / 54.0, err) and _near(detune_sq, m4 / 108.0, err):
+        return [(center, 3)]
+    if m4 > 48.0 * e12_sq + 12.0 * detune_sq:
+        inner = 0.25 * m4 - 12.0 * e12_sq - 3.0 * detune_sq
+        d_inner = 15.0 * err + EPS * (0.25 * m4 + 12.0 * e12_sq + 3.0 * detune_sq)
+        w = -0.125 * m4 + 9.0 * e12_sq - 4.5 * detune_sq
+        dw = 13.5 * err + EPS * (0.125 * m4 + 9.0 * e12_sq + 4.5 * detune_sq)
+        if _near(inner**3, m4 * w * w, 3.0 * inner * inner * d_inner + 2.0 * m4 * abs(w) * dw):
+            root = math.sqrt(max(inner, 0.0))
+            if _near(w, 0.0, dw):
+                return [(center, 3)]
+            if side * w > 0:
+                return [(center + root / 3.0, 2), (center - 2.0 * root / 3.0, 1)]
+            return [(center - root / 3.0, 2), (center + 2.0 * root / 3.0, 1)]
     return None
 
 
 def diagonal_coincident_roots(
-    musq: float, e12_sq: float, detune_sq: float, tol: float = BRANCH_TOL
+    musq: float, e12_sq: float, detune_sq: float, err: float = 0.0
 ) -> list[tuple[float, int]] | None:
-    """Closed-form coinciding roots for the diagonal cubic.
+    """Closed-form coinciding roots for the diagonal cubic, if its branch
+    conditions hold to their rounding.
 
     Arguments are |lambda1 - lambda2|^2, |e12|^2 and the squared effective
-    detuning; conditions as printed for that branch family.
+    detuning, with err a bound on the rounding of the last two; returns
+    [(s, multiplicity), ...] or None.
     """
-    m4 = musq * musq
-    if abs(e12_sq - m4 / 54.0) <= tol and abs(detune_sq - m4 / 108.0) <= tol:
-        return [(-musq / 3.0, 3)]
-    if m4 > 48.0 * e12_sq + 12.0 * detune_sq:
-        inner = 0.25 * m4 - 12.0 * e12_sq - 3.0 * detune_sq
-        lhs = inner**3
-        rhs = m4 * (-0.125 * m4 + 9.0 * e12_sq - 4.5 * detune_sq) ** 2
-        if abs(lhs - rhs) <= tol:
-            root = math.sqrt(max(inner, 0.0))
-            sign_test = musq * (-0.125 * m4 + 9.0 * e12_sq - 4.5 * detune_sq)
-            if abs(sign_test) < TIE_TOL:
-                return [(-musq / 3.0, 3)]
-            if sign_test > 0:
-                return [(-musq / 3.0 + root / 3.0, 2), (-musq / 3.0 - 2.0 * root / 3.0, 1)]
-            return [(-musq / 3.0 - root / 3.0, 2), (-musq / 3.0 + 2.0 * root / 3.0, 1)]
-    return None
+    return _coincident_roots(musq, e12_sq, detune_sq, err, -musq / 3.0, 1.0)
+
+
+def jordan_coincident_roots(
+    gap_sq: float, coupling_sq: float, err: float = 0.0
+) -> list[tuple[float, int]] | None:
+    """Closed-form coinciding roots for the Jordan cubic, whose branch
+    conditions are the diagonal ones at |lambda1 - lambda2|^2 = 1 with
+    coupling_sq for |e12|^2 and gap_sq for the detuning; its roots center
+    on -2/3 and its double root lies on the other side."""
+    return _coincident_roots(1.0, coupling_sq, gap_sq, err, -2.0 / 3.0, -1.0)
 
 
 def _closed_form_roots(canon: Canonical) -> list[tuple[complex, int]] | None:
@@ -212,75 +203,148 @@ def _closed_form_roots(canon: Canonical) -> list[tuple[complex, int]] | None:
     when their branch conditions hold, in s = rate / c'^2."""
     g, h = canon.scaled
     h2 = abs(h) ** 2
+    # Rounding of g^2 and |h|^2 from that of g and h.
+    err = canon.err * (2.0 * max(abs(g), abs(h)) + canon.err)
     if canon.t == 0.0:
-        out = diagonal_coincident_roots(4.0 * canon.x**2, h2, g * g)
+        out = diagonal_coincident_roots(4.0 * canon.x**2, h2, g * g, err)
     elif canon.x == 0.0:
-        out = jordan_coincident_roots(g * g, h2)
+        out = jordan_coincident_roots(g * g, h2, err)
     else:
         return None
-    if out is None:
-        return None
-    return [(complex(s), mult) for s, mult in out]
+    return None if out is None else [(complex(s), mult) for s, mult in out]
+
+
+_R = math.sqrt(0.5)
+# Orthonormal coordinates of sigma_z / sqrt 2, sigma_x / sqrt 2 and -sigma_y / sqrt 2.
+_HERMITIAN_BASIS = ((1 + 0j, 0j, 0j), (0j, _R + 0j, _R + 0j), (0j, complex(0.0, _R), complex(0.0, -_R)))
+
+
+def _norm2(v) -> float:
+    """Squared norm of three coordinates."""
+    a, b, c = v
+    return (a * a.conjugate() + b * b.conjugate() + c * c.conjugate()).real
 
 
 def _symmetrize_real(v) -> list[complex]:
     """Project three coordinates onto the Hermitian slice (f11 real,
-    f21 = conj f12) and normalize, on Python scalars."""
-    mirror = dagger_coords(v)
-    w = [0.5 * (x + m) for x, m in zip(v, mirror)]
-    n = scalar_norm(w)
-    if n < 0.5 * scalar_norm(v):
-        w = [0.5j * (x - m) for x, m in zip(v, mirror)]
-        n = scalar_norm(w)
-    if n == 0.0:
+    f21 = conj f12), with a phase of i where that keeps more of v, and
+    normalize, on Python scalars."""
+    v0, v1, v2 = v
+    w0, w1 = v0.real, 0.5 * (v1 + v2.conjugate())
+    n2 = w0 * w0 + 2.0 * (w1 * w1.conjugate()).real
+    if 4.0 * n2 < _norm2(v):
+        w0, w1 = -v0.imag, 0.5j * (v1 - v2.conjugate())
+        n2 = w0 * w0 + 2.0 * (w1 * w1.conjugate()).real
+    if n2 == 0.0:
         raise InternalError("mode vector collapsed under symmetrization")
-    w = [z / n for z in w]
+    n = math.sqrt(n2)
+    w0, w1 = w0 / n, w1 / n
     # Fix the residual sign freedom for reproducibility.
-    for comp in (w[0].real, w[1].real, w[1].imag):
+    for comp in (w0, w1.real, w1.imag):
         if abs(comp) > 1e-12:
             if comp < 0:
-                w = [-z for z in w]
+                w0, w1 = -w0, -w1
             break
-    return w
+    return [complex(w0), w1, w1.conjugate()]
 
 
-def _chain_solve(b: np.ndarray, target, mscale: float) -> np.ndarray:
-    sol, *_ = np.linalg.lstsq(b, target, rcond=GEO_RTOL)
-    if np.linalg.norm(b @ sol - target) > CHAIN_RTOL * max(1.0, mscale):
-        raise InternalError("generalized-eigenvector chain is inconsistent")
-    return sol
+def _hermitian(v) -> list[complex]:
+    """The Hermitian part (v + v^dag) / 2 of three coordinates."""
+    v0, v1, v2 = v
+    w1 = 0.5 * (v1 + v2.conjugate())
+    return [complex(v0.real), w1, w1.conjugate()]
 
 
-def _cross_null_vector(b: list[list[complex]], mscale: float) -> list[complex] | None:
-    """Unit null vector of the 3x3 matrix B, given as three rows, from the
-    largest cross product of two of its rows (Kopp, arXiv:physics/0610206),
-    or None unless B is certainly of rank two and the vector passes the
-    residual check.
+def _cross(u, v) -> tuple[complex, complex, complex]:
+    """Bilinear cross product: (u x v) . w = det[u; v; w]."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
 
-    With F = ||B|| and c the largest cross product, sigma_2 >= c / (sqrt(3) F),
-    so c > sqrt(3) GEO_RTOL F max(1, F) proves sigma_2 above the SVD's
-    rank tolerance GEO_RTOL max(1, sigma_1): the geometric multiplicity is 1
-    exactly when the SVD would find it so.  Scalar arithmetic on the nine
-    entries costs less than numpy's per-call overhead; squares that under-
-    or overflow fail the tests and fall back to the SVD.
+
+def _largest_cross(b) -> tuple[int, int, tuple[complex, complex, complex], float]:
+    """(i, j, n, |n|^2) for the first pair of rows i, j of B = M - rate with
+    the largest cross product n.  The rows of the arrowhead B are
+    [b00, b01, b02], [b10, b11, 0] and [b20, 0, b22]; for a B of rank two
+    the cross product spans its null space (Kopp, arXiv:physics/0610206),
+    and that of rows 1 and 2 is Hermitian for a real rate."""
+    (b00, b01, b02), (b10, b11, _), (b20, _, b22) = b
+    n01 = (-b02 * b11, b02 * b10, b00 * b11 - b01 * b10)
+    n02 = (b01 * b22, b02 * b20 - b00 * b22, -b01 * b20)
+    n12 = (b11 * b22, -b10 * b22, -b11 * b20)
+    s01, s02, s12 = _norm2(n01), _norm2(n02), _norm2(n12)
+    if s01 >= s02 and s01 >= s12:
+        return 0, 1, n01, s01
+    if s02 >= s12:
+        return 0, 2, n02, s02
+    return 1, 2, n12, s12
+
+
+def _chain_link(b, v, cross) -> list[complex]:
+    """Minimum-norm solution of B x = v for a B of rank two with v in its
+    range, given cross = _largest_cross(b): the two rows of the largest
+    cross product n hold exactly, and conj(n) . x = 0 keeps x orthogonal to
+    null(B).  Cramer's rule on these three rows has the determinant |n|^2."""
+    i, j, (x, y, z), det = cross
+    border = (x.conjugate(), y.conjugate(), z.conjugate())
+    vi, vj = v[i] / det, v[j] / det
+    return [vi * p + vj * q for p, q in zip(_cross(b[j], border), _cross(border, b[i]))]
+
+
+def _semisimple_chains(b, mult: int, tol: float) -> list[list[list[complex]]]:
+    """Chains of a multiple real root at which B = M - rate has rank at most
+    one: Hermitian null vectors, and for a triple root of rank one a chain
+    of two (range(B) lies in null(B)) plus one null vector.
+
+    With row the largest row of B, row x w is a null vector orthogonal to
+    the mirror (w0, w2, w1), which for a Hermitian w is its conjugate."""
+    row = max(b, key=_norm2)
+    if _norm2(row) <= tol * tol:
+        # B = 0: every direction is a mode.
+        return [[list(v)] for v in _HERMITIAN_BASIS[:mult]]
+
+    def null_orthogonal_to(w):
+        return _symmetrize_real(_cross(row, (w[0], w[2], w[1])))
+
+    if mult == 2:
+        first = _symmetrize_real(max((_cross(row, e) for e in _HERMITIAN_BASIS), key=_norm2))
+        return [[first], [null_orthogonal_to(first)]]
+    head = _symmetrize_real(max(zip(*b), key=_norm2))
+    # B^+ = B^dag / ||B||^2 for a B of rank one.
+    frob = sum(map(_norm2, b))
+    link = [sum(r[k].conjugate() * z for r, z in zip(b, head)) / frob for k in range(3)]
+    return [[head, _hermitian(link)], [null_orthogonal_to(head)]]
+
+
+def _real_root_chains(b, mult: int, tol: float) -> list[list[list[complex]]]:
+    """Jordan chains of a real root from the rows of B = M - rate.
+
+    B has rank one only where m10 or m01 vanishes and m11 = rate is real;
+    at a multiple root this is decided to tol, the precision of its
+    multiplicity.  Otherwise B has rank two and the root one chain, whose
+    head is Hermitian and whose links are made so: M commutes with the
+    adjoint and the minimum-norm link is unique.
     """
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = b
-    crosses = (
-        (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0),
-        (a1 * c2 - a2 * c1, a2 * c0 - a0 * c2, a0 * c1 - a1 * c0),
-        (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0),
-    )
-    n2s = [abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2 for x, y, z in crosses]
-    best_n2 = max(n2s)
-    f2 = scalar_norm((a0, a1, a2, b0, b1, b2, c0, c1, c2)) ** 2
-    if not best_n2 > 3.0 * GEO_RTOL**2 * f2 * max(1.0, f2):
-        return None
-    x0, x1, x2 = best = crosses[n2s.index(best_n2)]
-    resid2 = sum(abs(r0 * x0 + r1 * x1 + r2 * x2) ** 2 for r0, r1, r2 in b)
-    if not resid2 <= (CHAIN_RTOL * max(1.0, mscale)) ** 2 * best_n2:
-        return None
-    n = math.sqrt(best_n2)
-    return [z / n for z in best]
+    (_, m01, _), (m10, m11, _), _ = b
+    if mult > 1 and min(abs(m10), abs(m01)) <= tol and abs(m11.imag) <= tol:
+        return _semisimple_chains(b, mult, tol)
+    cross = _largest_cross(b)
+    chain = [_symmetrize_real(cross[2])]
+    for _ in range(mult - 1):
+        chain.append(_hermitian(_chain_link(b, chain[-1], cross)))
+    return [chain]
+
+
+def generator_rows(spec: SystemSpec) -> tuple[list[list[complex]], Entries2 | None, float]:
+    """(rows of M / w on (f11, f12, f21), their frame U, w): the canonical
+    generator over w = c'^2 for c > 0; a closed system's in the caller's
+    frame (U = None) over the power of two w that brings its largest entry
+    to [1, 2), so that no product of entries under- or overflows."""
+    if spec.c > 0:
+        canon = spec.canonical
+        return _scaled_rows(canon), canon.basis, canon.c * canon.c
+    unit, rows = unit_scaled(build_generator(spec).matrix)
+    return rows.tolist(), None, unit
 
 
 def _minus_rate(m: list[list[complex]], rate: complex) -> list[list[complex]]:
@@ -289,121 +353,49 @@ def _minus_rate(m: list[list[complex]], rate: complex) -> list[list[complex]]:
     return [[m00 - rate, m01, m02], [m10, m11 - rate, m12], [m20, m21, m22 - rate]]
 
 
-def _modes_for_root(
-    b: list[list[complex]], mult: int, mscale: float
-) -> list[tuple[list[complex], int]]:
-    """Jordan chains of one root, as (head, chain length) pairs, from the
-    rows of B = M - rate I: the geometric multiplicity decides between
-    simple modes and generalized chains.  ``spectrum`` solves each chain's
-    links from its symmetrized head."""
-    v = _cross_null_vector(b, mscale)
-    if v is not None:
-        # Rank two: one eigenvector, heading a chain of length mult.
-        return [(v, mult)]
-    u, sing, vh = np.linalg.svd(np.array(b))
-    tol = GEO_RTOL * max(1.0, float(sing[0]))
-    geo = int(np.sum(sing <= tol))
-    geo = max(1, min(geo, mult))
-    null = vh[3 - geo :].conj()
-    if geo >= mult:
-        return [(v, 1) for v in null[:mult].tolist()]
-    if geo == 1:
-        return [(null[0].tolist(), mult)]
-    # mult == 3, geo == 2: rank one, so range(B) sits inside null(B).
-    head = u[:, 0]
-    spare = null[0] - np.vdot(head, null[0]) * head
-    if np.linalg.norm(spare) < 1e-8:
-        spare = null[1] - np.vdot(head, null[1]) * head
-    spare = spare / np.linalg.norm(spare)
-    return [(head.tolist(), 2), (spare.tolist(), 1)]
-
-
-def generator_rows(spec: SystemSpec) -> tuple[list[list[complex]], np.ndarray | None]:
-    """Rows of the generator on (f11, f12, f21) and their frame U: the
-    canonical one for c > 0, the caller's (U = None) for a closed system."""
-    if spec.c > 0:
-        canon = spec.canonical
-        return _canonical_rows(canon), canon.basis
-    return build_generator(spec).matrix.tolist(), None
-
-
 def spectrum(spec: SystemSpec) -> ModeDecomposition:
     """Roots, Jordan chains and structure of the homogeneous generator, on
-    Python scalars except for the SVD and least-squares fallbacks: in the
-    canonical frame for c > 0, in the caller's for a closed system."""
+    Python scalars: in the canonical frame for c > 0, in the caller's for
+    a closed system.
+
+    Modes are extracted from the rows of M / w of ``generator_rows``; the
+    j-th link of a chain is scaled back by w^-j.
+    """
     c = spec.c
-    rows, frame = generator_rows(spec)
+    rows, frame, unit = generator_rows(spec)
     if c > 0:
-        canon = spec.canonical
-        scale = canon.c * canon.c
-        p2, p1, p0 = _canonical_cubic(canon)
-        s_roots = _closed_form_roots(canon) or list(cubic_roots(p2, p1, p0).roots)
+        p2, p1, p0 = _canonical_cubic(spec.canonical)
+        s_roots = _closed_form_roots(spec.canonical) or list(cubic_roots(p2, p1, p0).roots)
     else:
-        scale = 1.0
         s_roots = list(cubic_roots(*char_cubic(spec)).roots)
-    mscale = scalar_norm(rows[0] + rows[1] + rows[2])
+    scale = unit if c > 0 else 1.0
+    ratio = scale / unit  # from s to the units of rows
 
     root_scale = max([1.0] + [abs(s) for s, _ in s_roots])
     ztol = 1e-10 * root_scale
 
-    raw_modes: list[tuple[complex, list]] = []
-    done_pairs: set[int] = set()
-    for idx, (s, mult) in enumerate(s_roots):
-        if idx in done_pairs:
-            continue
+    # Chain vectors map as the traceless matrices they stand for, so they
+    # stay Jordan chains of the caller's generator.
+    back = tuple if frame is None else (lambda v: coords_from_frame(v, frame))
+    modes: list[Mode] = []
+    for s, mult in s_roots:
         rate = s * scale
         if abs(s.imag) <= ztol:
             rate = complex(rate.real)
-            b = _minus_rate(rows, rate)
-            chains = _modes_for_root(b, mult, mscale)
-            if len(chains) > 1 and all(k == 1 for _, k in chains):
-                # Diagonalizable multiple root: re-extract the Hermitian slice
-                # jointly so the simple modes stay independent.
-                basis = hermitian_span([direction_matrix(v) for v, _ in chains])
-                if len(basis) < len(chains):
-                    raise InternalError("Hermitian slice of the eigenspace is too small")
-                for herm in basis[: len(chains)]:
-                    raw_modes.append((rate, [coords(herm)]))
-                continue
-            for head, k in chains:
-                chain = [_symmetrize_real(head)]
-                for _ in range(k - 1):
-                    nxt = _chain_solve(np.array(b), chain[-1], mscale)
-                    chain.append(0.5 * (nxt + dagger_coords(nxt)))
-                raw_modes.append((rate, chain))
-        else:
-            if mult != 1:
-                raise InternalError("repeated non-real root of a real cubic")
-            partner = None
-            for jdx in range(idx + 1, len(s_roots)):
-                sj, mj = s_roots[jdx]
-                close = abs(sj - s.conjugate()) <= 1e-6 * root_scale
-                if jdx not in done_pairs and mj == 1 and close:
-                    partner = jdx
-                    break
-            if partner is None:
-                raise InternalError("unpaired complex root of a real cubic")
-            done_pairs.add(partner)
-            if s.imag < 0:
-                s = s.conjugate()
-            rate = s * scale
-            (v, _), = _modes_for_root(_minus_rate(rows, rate), 1, mscale)
-            raw_modes.append((rate, [v]))
-            raw_modes.append((rate.conjugate(), [dagger_coords(v)]))
-
-    if sum(len(chain) for _, chain in raw_modes) != 3:
+            # Multiplicity is decided to COINCIDENCE_RTOL of the root scale.
+            tol = COINCIDENCE_RTOL * max(scale, abs(rate)) / unit
+            for chain in _real_root_chains(_minus_rate(rows, s.real * ratio), mult, tol):
+                for j in range(1, len(chain)):
+                    chain[j] = [x / unit**j for x in chain[j]]
+                modes.append(Mode(rate, tuple(map(back, chain))))
+        elif s.imag < 0.0:
+            # A real cubic's complex roots come in exact conjugate pairs,
+            # sorted lower member first; the upper one leads here.
+            _, _, n, n2 = _largest_cross(_minus_rate(rows, s.conjugate() * ratio))
+            v = [z / math.sqrt(n2) for z in n]
+            modes += [Mode(rate.conjugate(), (back(v),)), Mode(rate, (back(dagger_coords(v)),))]
+    if sum(len(m.vectors) for m in modes) != 3:
         raise InternalError("mode chains do not span three dimensions")
-    if frame is None:
-        modes = [
-            Mode(rate, tuple(np.array(v, dtype=complex) for v in chain)) for rate, chain in raw_modes
-        ]
-    else:
-        # Chain vectors map as the traceless matrices they stand for, so
-        # they stay Jordan chains of the caller's generator.
-        modes = [
-            Mode(rate, tuple(coords(from_frame(direction_matrix(v), frame)) for v in chain))
-            for rate, chain in raw_modes
-        ]
 
     # Structure reflects algebraic multiplicity: a diagonalizable double root
     # is still DoubleRoot even though it carries two simple modes.  Real

@@ -10,11 +10,11 @@ into H'.  The Hamiltonian enters only through (ii).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SystemSpec, from_frame_hermitian
+from .model import SystemSpec, hermitian_from_frame
 from .numerics import scalar_norm
 from .pointer import DiagonalFamily, FullFamily, canonical_pointer
 
@@ -61,27 +61,19 @@ def classify_unitons(spec: SystemSpec) -> UnitonVerdict:
     kernel = canonical_pointer(canon, 0.0, 0j, canon.gauge, 0.0)
     if isinstance(kernel, FullFamily):
         return AllStates()
+    basis = canon.basis
+
+    def back(m) -> np.ndarray:
+        return np.array(m, dtype=complex) if basis is None else hermitian_from_frame(m, basis)
+
     if isinstance(kernel, DiagonalFamily):
         # The dissipator of a diagonal l kills the diagonal matrices and
         # scales the coherences.
-        verdict = NoUnitons(
-            reason=_FAMILY_CONSTANT,
-            candidate=np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-            family=(np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),),
-        )
-        return verdict if canon.basis is None else _from_frame_verdict(verdict, canon.basis)
+        candidate, direction = ((1.0, 0.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, 1.0))
+        return NoUnitons(reason=_FAMILY_CONSTANT, candidate=back(candidate), family=(back(direction),))
     # t > 0: one dissipation-free state, positive as a pointer is.
-    rho = kernel.rho if canon.basis is None else from_frame_hermitian(kernel.rho, canon.basis)
+    rho = kernel.rho if basis is None else back(kernel.rho.tolist())
     return _single_candidate_verdict(spec.hamiltonian.entries, rho.tolist())
-
-
-def _from_frame_verdict(verdict: NoUnitons, basis: np.ndarray) -> NoUnitons:
-    """Map a canonical-frame family verdict back to the caller's frame."""
-    return replace(
-        verdict,
-        candidate=from_frame_hermitian(verdict.candidate, basis),
-        family=tuple(from_frame_hermitian(d, basis) for d in verdict.family),
-    )
 
 
 def _single_candidate_verdict(h, base) -> UnitonVerdict:

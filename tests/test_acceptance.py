@@ -23,7 +23,6 @@ from fgkls.model import (
     JordanL,
     SystemSpec,
     det2,
-    from_frame,
     gauge_shift,
 )
 from fgkls.numerics import cubic_roots
@@ -39,6 +38,7 @@ from fgkls.spectral import (
     spectrum,
 )
 from fgkls.uniton import AllStates, NoUnitons, StationaryPointerOnly, classify_unitons
+from frames import from_frame
 
 SEED = 987654321
 

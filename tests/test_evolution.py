@@ -290,7 +290,7 @@ def literal_coords(sol, rho0, ts):
     idx = 0
     for mode in sol.modes.modes:
         k = len(mode.vectors)
-        for i, v in enumerate(mode.vectors):
+        for i, v in enumerate(map(np.array, mode.vectors)):
             for j in range(i, k):
                 a = amps[idx + j] / math.factorial(j - i)
                 for n, t in enumerate(ts):

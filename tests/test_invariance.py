@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgkls import model, spectral
+from fgkls.generator import build_generator
 from fgkls.evolution import solve_ivp, trajectory
-from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec, from_frame
+from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec
 from fgkls.oracle import IntegratorConfig, integrate
 from fgkls.pointer import (
     FullFamily,
@@ -29,8 +30,9 @@ from fgkls.pointer import (
     representative,
 )
 from fgkls.sampling import random_complex, random_density, random_spec
-from fgkls.spectral import assert_stability, char_cubic, spectrum
+from fgkls.spectral import SpectrumStructure, assert_stability, char_cubic, spectrum
 from fgkls.uniton import NoUnitons, StationaryPointerOnly, classify_unitons
+from frames import from_frame
 from test_acceptance import (
     diagonal_double_root_spec,
     haar_unitary,
@@ -46,6 +48,10 @@ FAMILIES = {
     "jordan triple root": jordan_triple_root_spec,
     "diagonal double root": diagonal_double_root_spec,
 }
+
+
+# Residual allowed to eigenvectors and chain links, relative to max(1, ||M||).
+CHAIN_RTOL = 1e-8
 
 
 def rates(spec):
@@ -94,6 +100,48 @@ def test_rotated_general_form_is_the_frame_mapped_canonical_result(seed, family)
     mapped = np.array([from_frame(r, u) for r in trajectory(solve_ivp(spec, rho0), ts)])
     assert np.max(np.abs(traj - mapped)) < 1e-9
     assert np.max(np.abs(traj - oracle)) < 1e-6
+
+
+@pytest.mark.parametrize("seed", [109, 532, 592, 604, 662, 1004, 1458, 1633, 1953, 539739613])
+def test_rotated_diagonal_double_roots_are_snapped(seed):
+    """Draws of the property test above whose rotation leaves branch defects
+    of up to about 1900 eps, which an absolute tolerance of 1024 eps missed:
+    the branch tolerance is a bound on the rounding of its terms."""
+    rng = np.random.default_rng(seed)
+    spec = FAMILIES["diagonal double root"](rng)
+    rot = rotated_general(spec, haar_unitary(rng), float(rng.uniform(0.5, 2.0)))
+    md = spectrum(rot)
+    assert md.structure is SpectrumStructure.DOUBLE_ROOT
+    assert [len(m.vectors) for m in md.modes] == [len(m.vectors) for m in spectrum(spec).modes]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(sorted(FAMILIES)),
+    rotated=st.booleans(),
+    closed=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_modes_satisfy_the_generator(seed, family, rotated, closed):
+    """Every eigenvector v0 and chain link v(j+1) solves (M - rate) v0 = 0 and
+    (M - rate) v(j+1) = vj with M the generator in the caller's frame, in
+    canonical and in rotated form, and for closed systems (c = 0)."""
+    rng = np.random.default_rng(seed)
+    spec = FAMILIES[family](rng)
+    if closed:
+        spec = SystemSpec(spec.hamiltonian, dataclasses.replace(spec.lindblad, c=0.0))
+    if rotated:
+        spec = rotated_general(spec, haar_unitary(rng), float(rng.uniform(0.5, 2.0)))
+    m = build_generator(spec).matrix
+    bound = CHAIN_RTOL * max(1.0, float(np.linalg.norm(m)))
+    md = spectrum(spec)
+    assert sum(len(mode.vectors) for mode in md.modes) == 3
+    for mode in md.modes:
+        b = m - mode.rate * np.eye(3)
+        vs = [np.array(v) for v in mode.vectors]
+        assert np.linalg.norm(b @ vs[0]) <= bound
+        for prev, link in zip(vs, vs[1:]):
+            assert np.linalg.norm(b @ link - prev) <= bound
 
 
 @given(

@@ -1,7 +1,8 @@
 """The scalar per-system path against a numpy reference.
 
 ``reference_spectrum``, ``reference_fit`` and ``reference_coords`` below are
-a literal copy of the numpy implementation of ``spectral.spectrum``, the
+a literal copy of the numpy implementation of ``spectral.spectrum`` (its
+SVD rank test, least-squares chain links and joint Hermitian span), the
 amplitude fit and the modal sum that the scalar code replaced.  Both sides
 take the canonical generator and its roots from ``spectral``, so what is
 compared is the mode extraction, and the Newton form of
@@ -16,31 +17,44 @@ import numpy as np
 
 from fgkls.errors import InternalError
 from fgkls.evolution import solve_ivp, trajectory
-from fgkls.model import (
-    as_density,
-    coords,
-    dagger_coords,
-    direction_matrix,
-    from_coords,
-    from_frame,
-    hermitian_span,
-)
+from fgkls.model import as_density, coords, dagger_coords, direction_matrix, from_coords
 from fgkls.pointer import compute_pointer, representative
 from fgkls.spectral import (
-    CHAIN_RTOL,
-    GEO_RTOL,
     SpectrumStructure,
     _canonical_cubic,
-    _canonical_rows,
-    _chain_solve,
+    _chain_link,
     _closed_form_roots,
+    _largest_cross,
+    _scaled_rows,
     cubic_roots,
     spectrum,
 )
+from frames import basis_matrix, from_frame
 from test_model import canonical_system
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
+
+
+# The reference's rank tolerance and chain residual bound.
+GEO_RTOL = 1e-6
+CHAIN_RTOL = 1e-8
+
+
+def hermitian_span(mats):
+    """Real basis of the Hermitian matrices in the span of 2x2 matrices,
+    for a span closed under the adjoint."""
+    rows = []
+    for m in mats:
+        for w in (0.5 * (m + m.conj().T), 0.5j * (m - m.conj().T)):
+            rows.append([w[0, 0].real, w[0, 1].real, w[0, 1].imag, w[1, 1].real])
+    if not rows:
+        return []
+    _, s, vh = np.linalg.svd(np.array(rows))
+    rank = int(np.sum(s > 1e-10 * max(1.0, float(s[0]))))
+    return [
+        np.array([[a, x + 1j * y], [x - 1j * y, d]], dtype=complex) for a, x, y, d in vh[:rank]
+    ]
 
 
 def _ref_symmetrize_real(v):
@@ -122,7 +136,7 @@ def _ref_modes_for_root(m, rate, mult, mscale):
 def reference_spectrum(spec):
     """[(rate, [vectors])] per mode, and the structure's root list."""
     canon = spec.canonical
-    m = np.array(_canonical_rows(canon))
+    m = canon.c**2 * np.array(_scaled_rows(canon))
     mscale = float(np.linalg.norm(m))
     scale = canon.c**2
     closed = _closed_form_roots(canon)
@@ -167,7 +181,7 @@ def reference_spectrum(spec):
             raw_modes.append((rate, [v]))
             raw_modes.append((np.conj(rate), [dagger_coords(v)]))
     if canon.basis is not None:
-        u = canon.basis
+        u = basis_matrix(canon)
         raw_modes = [
             (r, [coords(from_frame(direction_matrix(v), u)) for v in chain]) for r, chain in raw_modes
         ]
@@ -249,7 +263,7 @@ def test_scalar_pipeline_matches_the_numpy_reference():
         # free of that choice.
         for mode, (_, chain) in zip(sol.modes.modes, ref_modes):
             chain_systems += len(chain) > 1
-            assert np.max(np.abs(mode.vectors[0] - chain[0])) <= 1e-14
+            assert np.max(np.abs(np.subtract(mode.vectors[0], chain[0]))) <= 1e-14
         ts = np.asarray(op.ts, dtype=float)
         want = reference_coords(pointer_part, ref_modes, ref_amps, ts)
         assert np.max(np.abs(trajectory(sol, ts) - from_coords(want))) <= 1e-14
@@ -259,25 +273,25 @@ def test_scalar_pipeline_matches_the_numpy_reference():
 def test_chain_links_depend_only_on_the_system():
     """Perturbing each entry of B = M - rate I by one relative eps moves no
     Jordan-chain link by more than 1e-10 relative: each link is the
-    least-squares solution cut at the rank the geometric-multiplicity test
-    decided, not at rounding level."""
+    minimum-norm solution of B x = v, which on a B of rank two does not
+    depend on rounding-level changes of B."""
     rng = np.random.default_rng(5)
     eps = np.finfo(float).eps
     chains = 0
     for seed in (1, 2, 3):
         for op in workloads.manifold_ops(seed):
-            # The canonical system in its own frame.
+            # The canonical system in its own frame, over c'^2.
             spec = canonical_system(op.spec)
-            m = np.array(_canonical_rows(spec.canonical))
-            mscale = float(np.linalg.norm(m))
+            canon = spec.canonical
+            m = np.array(_scaled_rows(canon))
             for mode in spectrum(spec).modes:
                 if len(mode.vectors) == 1:
                     continue
                 chains += 1
-                b = m - mode.rate * np.eye(3)
+                b = m - mode.rate / canon.c**2 * np.eye(3)
                 for target in mode.vectors[:-1]:
-                    link = _chain_solve(b, target, mscale)
+                    link = np.array(_chain_link(b.tolist(), target, _largest_cross(b.tolist())))
                     nudged = b * (1.0 + eps * rng.choice([-1.0, 1.0], size=(3, 3)))
-                    moved = _chain_solve(nudged, target, mscale)
+                    moved = np.array(_chain_link(nudged.tolist(), target, _largest_cross(nudged.tolist())))
                     assert np.linalg.norm(moved - link) <= 1e-10 * np.linalg.norm(link)
     assert chains == 864

@@ -11,8 +11,11 @@ from fgkls.sampling import random_complex, random_hamiltonian, random_spec
 from fgkls.spectral import (
     SpectrumStructure,
     StabilityVerdict,
-    _cross_null_vector,
-    _modes_for_root,
+    _canonical_cubic,
+    _minus_rate,
+    _largest_cross,
+    _real_root_chains,
+    _scaled_rows,
     assert_stability,
     char_cubic,
     diagonal_coincident_roots,
@@ -284,13 +287,13 @@ def _triple_root_neighbour(eps):
 class TestCrossProductEigenvectors:
     @staticmethod
     def check_simple_roots(spec):
-        m = build_generator(spec).matrix
-        mscale = float(np.linalg.norm(m))
-        for s, mult in cubic_roots(*char_cubic(spec)).roots:
+        canon = spec.canonical
+        m = np.array(_scaled_rows(canon))
+        for s, mult in cubic_roots(*_canonical_cubic(canon)).roots:
             assert mult == 1
-            b = m - s * spec.c**2 * np.eye(3)
-            v = _cross_null_vector(b.tolist(), mscale)
-            assert v is not None
+            b = m - s * np.eye(3)
+            _, _, n, n2 = _largest_cross(b.tolist())
+            v = np.array(n) / np.sqrt(n2)
             _, sing, vh = np.linalg.svd(b)
             # The cross product's residual is at most sqrt(3) times the
             # smallest singular value, the best any unit vector achieves.
@@ -312,30 +315,30 @@ class TestCrossProductEigenvectors:
             assert 1e-10 < abs(disc) < 1e-4
             self.check_simple_roots(spec)
 
-    def test_rank_one_and_inaccurate_roots_fall_back_to_the_svd(self, monkeypatch):
+    def test_rank_one_roots_take_the_hermitian_null_space(self, monkeypatch):
         # Pure dephasing with degenerate levels: both coherences decay at
         # -|lambda1 - lambda2|^2 / 2, a diagonalizable double root, so
-        # M - rate I has rank one.
-        spec = SystemSpec(DEGENERATE_H, DiagonalL(1.0, 0.3, 1.0))
-        m = build_generator(spec).matrix
-        mscale = float(np.linalg.norm(m))
-        rate = -0.5 * 0.7**2
-        b = m - rate * np.eye(3)
-        assert _cross_null_vector(b.tolist(), mscale) is None
+        # M - rate I has rank one: m10 = m01 = 0 and m11 is real.
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        chains = _modes_for_root(b.tolist(), 2, mscale)
-        assert calls
-        assert [k for _, k in chains] == [1, 1]
-        for v, _ in chains:
-            assert np.linalg.norm(b @ v) < 1e-12
-        # A simple root off by 1e-5 leaves a residual the check rejects.
-        spec = _triple_root_neighbour(1e-1)
-        m = build_generator(spec).matrix
-        s, _ = cubic_roots(*char_cubic(spec)).roots[0]
-        b = (m - (s + 1e-5) * np.eye(3)).tolist()
-        assert _cross_null_vector(b, float(np.linalg.norm(m))) is None
+        spec = SystemSpec(DEGENERATE_H, DiagonalL(1.0, 0.3, 1.0))
+        m = _scaled_rows(spec.canonical)
+        b = _minus_rate(m, -2.0)
+        chains = _real_root_chains(b, 2, 1e-8)
+        assert not calls
+        assert [len(c) for c in chains] == [1, 1]
+        vs = np.array([c[0] for c in chains])
+        assert np.max(np.abs(np.array(b) @ vs.T)) < 1e-15
+        assert np.allclose(vs @ vs.conj().T, np.eye(2), atol=1e-15)
+        for v in vs:
+            assert v[0].imag == 0.0 and v[2] == np.conj(v[1])
+        # The scalar l with degenerate levels: M = 0 and three simple modes.
+        spec = SystemSpec(DEGENERATE_H, DiagonalL(0.9, 0.9, 1.3))
+        md = spectrum(spec)
+        assert [len(mode.vectors) for mode in md.modes] == [1, 1, 1]
+        vs = np.array([mode.vectors[0] for mode in md.modes])
+        assert np.allclose(vs @ vs.conj().T, np.eye(3), atol=1e-15)
 
 
 # A level gap of 1e9 at c = 1e-5: the scaled gap |H| / c^2 is 1e19, so the
@@ -355,8 +358,8 @@ def test_large_scaled_gap_keeps_the_real_parts():
 
 
 class TestChainsAreSolvedOnce:
-    """One least-squares solve per chain link: two for a triple root, one
-    for a double root."""
+    """Chains come from closed forms: no least-squares solve and no SVD, and
+    two links for a triple root, one for a double root."""
 
     @pytest.mark.parametrize(
         "family, links",
@@ -368,10 +371,12 @@ class TestChainsAreSolvedOnce:
     )
     def test_lstsq_calls(self, rng, monkeypatch, family, links):
         calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        for name in ("lstsq", "svd"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k)
+            )
         for _ in range(5):
-            calls.clear()
             md = spectrum(family(rng))
             assert sum(len(m.vectors) - 1 for m in md.modes) == links
-            assert len(calls) == links
+        assert not calls

@@ -34,7 +34,7 @@ from .model import (
     gauge_shift,
     validate_density,
 )
-from .numerics import CubicRoots, RootPattern, cubic_roots, schur2, solve3
+from .numerics import cubic_roots, schur2, solve3
 from .oracle import IntegratorConfig, det_scan, integrate, pointer_numeric
 from .perturb import OrderEstimate, RateSeries, order_estimate, pointer_series, weak_rates
 from .pointer import (

@@ -386,6 +386,10 @@ def run(job: dict, out_override: str | None = None, seed: int | None = None) -> 
         ts = parse_time_grid(job["time_grid"])
     elif command in ("evolve", "positivity", "oracle-check"):
         c2 = spec.c**2
+        if c2 > 0:
+            # Accept the system before its c sets the span: canonicalize
+            # raises ContractError for a c'^2 that is not a normal float.
+            spec.canonical
         ts = np.linspace(0.0, 10.0 / c2 if c2 > 0 else 10.0, 400)
 
     if command == "evolve":

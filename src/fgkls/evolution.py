@@ -13,22 +13,19 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotReducibleError
 from .model import SystemSpec, as_density, coords_from_frame, dagger2, det2
-from .numerics import _real_cubic, scalar_norm
+from .numerics import scalar_norm
 from .pointer import compute_pointer, representative
 from .spectral import ModeDecomposition, generator_rows, spectrum
 
-# Nodes must solve M's cubic to rounding: each coefficient of prod (s - r)
-# within NODE_RTOL R^k, R = max |r|.  The rates of ``spectrum`` do (20 eps at
-# most on the benchmark systems) but near a coinciding root, where cubic_roots
-# leaves them jointly off by up to 1e-9; Cardano's roots (4 eps) stand in.
-NODE_RTOL = 64 * sys.float_info.epsilon
+# The nodes are ``spectrum``'s rates, which solve M's cubic to rounding: the
+# coefficients of prod (s - r) are within 64 eps R^k of it, R = max |r|
+# (tests/test_spectral.py::test_rates_rebuild_the_cubic).
 # Divided differences of nodes closer than NODE_SEPARATION max |r| use expm1,
 # and a Taylor series where |r3 - r1| t < TAYLOR_SPAN, whose k-th term is below
 # (k + 1) TAYLOR_SPAN^k / (k + 2)!; the quotient used elsewhere loses at most
@@ -75,16 +72,8 @@ def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
     rho0 = as_density(rho0)
     pointer_part = representative(compute_pointer(spec))
     md = spectrum(spec)
-    rates = [m.rate for m in md.modes for _ in m.vectors]
-    scale = spec.c**2 if md.scaled else 1.0
-    p2, p1, p0 = cubic = [p.real for p in md.cubic]
-    s1, s2, s3 = [r / scale for r in rates]
-    radius = max(abs(s1), abs(s2), abs(s3))
-    misses = (s1 + s2 + s3 + p2, s1 * s2 + s1 * s3 + s2 * s3 - p1, s1 * s2 * s3 + p0)
-    if any(abs(d) > NODE_RTOL * radius**k for k, d in enumerate(misses, 1)):
-        rates = [s * scale for s in _real_cubic(*cubic)]
     # r1 and r3 farthest apart, the first such pair in the order of rates.
-    a, b, c = rates
+    a, b, c = [m.rate for m in md.modes for _ in m.vectors]
     gaps = (abs(a - c), abs(a - b), abs(b - c))
     r1, r2, r3 = ((a, b, c), (a, c, b), (b, a, c))[gaps.index(max(gaps))]
 

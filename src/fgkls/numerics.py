@@ -1,8 +1,9 @@
-"""Small dense complex kernel: cubic roots with multiplicity detection,
-3x3 linear solves with nullspace extraction, and 2x2 Schur triangularization.
+"""Small dense kernels: the roots of a real cubic, 3x3 linear solves with
+nullspace extraction, and 2x2 Schur triangularization.
 
-Everything here is exact-arithmetic-flavoured: closed forms polished by a
-single Newton step, scale-aware tolerances, and explicit handling of the
+The cubic's roots are the trigonometric or Cardano closed form with no
+polishing, and its caller decides where roots coincide from the
+coefficients.  The other kernels use scale-aware tolerances and handle the
 degenerate branches that the physics upstairs actually hits.
 """
 
@@ -11,37 +12,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import InputError
 
-# Two roots coincide when |s_i - s_j| < COINCIDENCE_RTOL * max(1, |s_i|, |s_j|).
+# The eigenvectors of a multiple rate and the negligible parts of a pointer are
+# decided to COINCIDENCE_RTOL of their scale.
 COINCIDENCE_RTOL = 1e-8
 # solve3 treats the matrix as singular when |det M| < RANK_RTOL * ||M||^3.
 RANK_RTOL = 1e-10
-
-
-class RootPattern(str, Enum):
-    THREE_DISTINCT = "ThreeDistinct"
-    ONE_DOUBLE_ONE_SIMPLE = "OneDoubleOneSimple"
-    TRIPLE = "Triple"
-
-
-@dataclass(frozen=True)
-class CubicRoots:
-    """Roots of a monic cubic with multiplicities summing to 3."""
-
-    roots: tuple[tuple[complex, int], ...]
-    classification: RootPattern
-
-    def values(self) -> list[complex]:
-        """Roots repeated according to multiplicity."""
-        out: list[complex] = []
-        for value, mult in self.roots:
-            out.extend([value] * mult)
-        return out
 
 
 def finite_matrix(m, shape=(2, 2)) -> np.ndarray:
@@ -70,23 +50,6 @@ def _require_finite(*values: complex) -> None:
     for v in values:
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise InputError(f"non-finite coefficient {v!r}")
-
-
-def _poly_eval(s: complex, p2: complex, p1: complex, p0: complex) -> complex:
-    return ((s + p2) * s + p1) * s + p0
-
-
-def _newton_polish(s: complex, p2: complex, p1: complex, p0: complex) -> complex:
-    """One guarded Newton step; kept only if it reduces the residual."""
-    f = _poly_eval(s, p2, p1, p0)
-    fp = (3.0 * s + 2.0 * p2) * s + p1
-    abs_f = abs(f)
-    if abs(fp) <= 1e-3 * abs_f or fp == 0:
-        return s
-    cand = s - f / fp
-    if abs(_poly_eval(cand, p2, p1, p0)) <= abs_f:
-        return cand
-    return s
 
 
 def _real_cbrt(x: float) -> float:
@@ -153,146 +116,31 @@ def _real_cubic(b: float, c: float, d: float) -> list[complex]:
     return [r - shift for r in roots]
 
 
-def _complex_cubic(p2: complex, p1: complex, p0: complex) -> list[complex]:
-    """Cardano for genuinely complex coefficients."""
-    shift = p2 / 3.0
-    p = p1 - p2 * p2 / 3.0
-    q = 2.0 * p2**3 / 27.0 - p2 * p1 / 3.0 + p0
-    if p == 0 and q == 0:
-        return [-shift] * 3
-    sq = cmath.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    t1 = -q / 2.0 + sq
-    t2 = -q / 2.0 - sq
-    t = t1 if abs(t1) >= abs(t2) else t2
-    u = t ** (1.0 / 3.0)
-    omega = complex(-0.5, math.sqrt(3.0) / 2.0)
-    roots = []
-    for k in range(3):
-        uk = u * omega**k
-        vk = -p / (3.0 * uk) if uk != 0 else 0.0
-        roots.append(uk + vk - shift)
-    return roots
+def cubic_roots(p2: complex, p1: complex, p0: complex) -> list[complex]:
+    """The three roots of the monic cubic s^3 + p2 s^2 + p1 s + p0 with real
+    coefficients, sorted by (real, imag).
 
-
-_REFINE_BAND = 1e-5
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def cubic_roots(p2: complex, p1: complex, p0: complex) -> CubicRoots:
-    """Solve the monic cubic s^3 + p2 s^2 + p1 s + p0 = 0.
-
-    Closed form (trigonometric/Cardano) with one guarded Newton polish per
-    root, plus a critical-point refinement of nearly coincident pairs:
-    closed-form roots lose half the working precision near a double root,
-    while around the critical point c (p'(c) = 0) the pair
-    c +/- sqrt(-2 p(c) / p''(c)) is accurate to full precision and an exact
-    double (p(c) == 0) is recovered exactly.  Roots closer than the
-    coincidence tolerance are merged into multiple roots; for real
-    coefficients the non-real roots come back as exact conjugate pairs.
+    The closed form of ``_real_cubic``, unpolished: non-real roots come as
+    an exact conjugate pair and p0 == 0 gives an exact zero root.  A
+    dominant pair z, z* leaves the real root r and Re z with an error of
+    about eps |z|; the identities r |z|^2 = -p0 and r + 2 Re z = -p2 give
+    both to full relative precision.  Roots are not merged: whether they
+    coincide is decided from the coefficients (``spectral.spectrum``).
+    Raises ``InputError`` for a non-finite or non-real coefficient.
     """
-    p2, p1, p0 = complex(p2), complex(p1), complex(p0)
-    _require_finite(p2, p1, p0)
-
-    coeff_scale = max(1.0, abs(p2), abs(p1), abs(p0))
-    is_real = max(abs(p2.imag), abs(p1.imag), abs(p0.imag)) < 1e-10 * coeff_scale
-    if is_real:
-        raw = _real_cubic(p2.real, p1.real, p0.real)
-        rp2, rp1, rp0 = p2.real, p1.real, p0.real
-        polished: list[complex] = []
-        seen_pair = False
-        for r in raw:
-            if r.imag == 0.0:
-                # Real arithmetic: the same real parts as on complex scalars.
-                polished.append(complex(_newton_polish(r.real, rp2, rp1, rp0)))
-            elif not seen_pair:
-                s = _newton_polish(r, rp2, rp1, rp0)
-                polished.append(s)
-                polished.append(s.conjugate())
-                seen_pair = True
-        if seen_pair:
-            # A dominant pair z, z* leaves r and Re z with an error of about
-            # eps |z|; the identities r |z|^2 = -p0 and r + 2 Re z = -p2 give
-            # both to full relative precision.
-            r, z = polished[0].real, polished[1]
-            mag = abs(z)
-            if mag > abs(r):
-                r = -(rp0 / mag) / mag
-                re = (-rp2 - r) / 2.0
-                polished = [complex(r), complex(re, z.imag), complex(re, -z.imag)]
-        roots = polished
-        p2u, p1u, p0u = complex(rp2), complex(rp1), complex(rp0)
-    else:
-        roots = [_newton_polish(r, p2, p1, p0) for r in _complex_cubic(p2, p1, p0)]
-        p2u, p1u, p0u = p2, p1, p0
-
-    # Critical-point refinement of the closest pair, if it is nearly double.
-    # Each |root| and each pair distance is taken once, for the refinement
-    # test and the clustering below.
-    mags = [abs(r) for r in roots]
-    dists = [abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2])]
-    kmin = dists.index(min(dists))
-    ia, ib = _PAIRS[kmin]
-    if 0.0 < dists[kmin] <= _REFINE_BAND * max(1.0, mags[ia], mags[ib]):
-        mid = (roots[ia] + roots[ib]) / 2.0
-        disc = cmath.sqrt(p2u * p2u - 3.0 * p1u)
-        crit = min(
-            [(-p2u + disc) / 3.0, (-p2u - disc) / 3.0], key=lambda z: abs(z - mid)
-        )
-        curv = 6.0 * crit + 2.0 * p2u
-        if abs(curv) > 1e-6 * max(1.0, abs(p2u)):
-            val = _poly_eval(crit, p2u, p1u, p0u)
-            delta = cmath.sqrt(-2.0 * val / curv)
-            cand_pair = [crit + delta, crit - delta]
-            cand_third = -p2u - 2.0 * crit
-            old_res = max(
-                abs(_poly_eval(roots[ia], p2u, p1u, p0u)),
-                abs(_poly_eval(roots[ib], p2u, p1u, p0u)),
-            )
-            new_res = max(abs(_poly_eval(z, p2u, p1u, p0u)) for z in cand_pair)
-            if new_res <= 10.0 * old_res + 1e-13 * coeff_scale:
-                if is_real:
-                    # Keep exact realness or exact conjugacy of the pair.
-                    if abs(delta.imag) <= abs(delta.real):
-                        cand_pair = [
-                            complex(crit.real + abs(delta)),
-                            complex(crit.real - abs(delta)),
-                        ]
-                    else:
-                        cand_pair = [
-                            complex(crit.real, abs(delta)),
-                            complex(crit.real, -abs(delta)),
-                        ]
-                    cand_third = complex(cand_third.real)
-                roots = cand_pair + [cand_third]
-                mags = [abs(r) for r in roots]
-                dists = [
-                    abs(roots[0] - roots[1]), abs(roots[0] - roots[2]), abs(roots[1] - roots[2])
-                ]
-
-    # Cluster coincident roots: the union over the three pairs.  Two close
-    # pairs share a root, so they join all three (near-triple cases merge).
-    close = [
-        (a, b)
-        for (a, b), dist in zip(_PAIRS, dists)
-        if dist < COINCIDENCE_RTOL * max(1.0, mags[a], mags[b])
-    ]
-    if len(close) >= 2:
-        groups, pattern = [roots], RootPattern.TRIPLE
-    elif close:
-        (a, b), = close
-        groups = [[roots[a], roots[b]], [roots[3 - a - b]]]
-        pattern = RootPattern.ONE_DOUBLE_ONE_SIMPLE
-    else:
-        groups, pattern = [[r] for r in roots], RootPattern.THREE_DISTINCT
-
-    entries = []
-    for g in groups:
-        mean = sum(g) / len(g)
-        if is_real and abs(mean.imag) <= COINCIDENCE_RTOL * max(1.0, abs(mean)):
-            mean = complex(mean.real)
-        entries.append((mean, len(g)))
-    entries.sort(key=lambda e: (e[0].real, e[0].imag))
-    return CubicRoots(roots=tuple(entries), classification=pattern)
+    coeffs = [complex(p) for p in (p2, p1, p0)]
+    _require_finite(*coeffs)
+    if any(p.imag for p in coeffs):
+        raise InputError(f"non-real cubic coefficients {coeffs!r}")
+    b, c, d = (p.real for p in coeffs)
+    roots = _real_cubic(b, c, d)
+    r, z, _ = roots
+    mag = abs(z)
+    if d != 0.0 and z.imag != 0.0 and mag > abs(r):
+        r = -(d / mag) / mag
+        re = (-b - r) / 2.0
+        roots = [complex(r), complex(re, z.imag), complex(re, -z.imag)]
+    return sorted(roots, key=lambda s: (s.real, s.imag))
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,12 +2,13 @@
 
 The homogeneous flow on (f11, f12, f21) is governed by a 3x3 matrix whose
 characteristic polynomial has real coefficients.  For c > 0 every system
-is solved in its canonical form (H', c', x, t): the generator, its cubic in
-s = rate / c'^2 and the measure-zero coinciding-root branches of the
-diagonal (t = 0) and Jordan (x = 0) shapes (which turn exponentials into
-exponentials times polynomials) are closed forms in (H' / c'^2, x, t); the
-branches are recognized from conditions in parameter space, where
-detection is well-conditioned even though the roots themselves are not.
+is solved in its canonical form (H', c', x, t): the generator and its cubic
+in s = rate / c'^2 are closed forms in (H' / c'^2, x, t).  Whether roots
+coincide (the measure-zero branches that turn exponentials into
+exponentials times polynomials) is decided for every shape from the
+cubic's coefficients, in its depressed form, against a bound on their
+rounding; that test is well-conditioned even though the roots themselves
+are not.  A closed system (c = 0) has the exact roots 0 and +/- i (E1 - E2).
 
 The generator is an arrowhead matrix, rows [m10, m11, 0] and [conj m10, 0,
 conj m11] below the first, and its modes are closed forms on Python scalars:
@@ -29,12 +30,13 @@ from .generator import build_generator
 from .model import EPS, Canonical, Entries2, SystemSpec, coords_from_frame, dagger_coords, direction_matrix
 from .numerics import COINCIDENCE_RTOL, cubic_roots, unit_scaled
 
-# A branch condition is an exact equality.  It is accepted when its two
-# sides agree to BRANCH_SLACK times a first-order bound on their rounding:
-# eps on each term, plus what the rounding of H' / c'^2 (Canonical.err)
-# makes of the invariants.  So only systems on a coinciding-root manifold
-# are snapped onto it.
-BRANCH_SLACK = 8.0
+# A coinciding-root condition is an exact equality between the coefficients
+# of the depressed cubic and those of a cubic with a multiple root.  It is
+# accepted when the two sides agree to BRANCH_SLACK times a first-order bound
+# on their rounding (``_depressed``).  So only systems on a coinciding-root
+# manifold are snapped onto it, and the snapped roots still solve the cubic
+# to rounding.
+BRANCH_SLACK = 2.0
 
 
 class SpectrumStructure(str, Enum):
@@ -153,65 +155,60 @@ def _near(a: float, b: float, err: float) -> bool:
     return abs(a - b) <= BRANCH_SLACK * (err + EPS * (abs(a) + abs(b)))
 
 
-def _coincident_roots(musq, e12_sq, detune_sq, err, center, side):
-    """Coinciding roots of the diagonal cubic, or of one with its conditions
-    (see ``jordan_coincident_roots``): the triple root at center, or the
-    double root on the side of center that side * w picks."""
-    m4 = musq * musq
-    if _near(e12_sq, m4 / 54.0, err) and _near(detune_sq, m4 / 108.0, err):
-        return [(center, 3)]
-    if m4 > 48.0 * e12_sq + 12.0 * detune_sq:
-        inner = 0.25 * m4 - 12.0 * e12_sq - 3.0 * detune_sq
-        d_inner = 15.0 * err + EPS * (0.25 * m4 + 12.0 * e12_sq + 3.0 * detune_sq)
-        w = -0.125 * m4 + 9.0 * e12_sq - 4.5 * detune_sq
-        dw = 13.5 * err + EPS * (0.125 * m4 + 9.0 * e12_sq + 4.5 * detune_sq)
-        if _near(inner**3, m4 * w * w, 3.0 * inner * inner * d_inner + 2.0 * m4 * abs(w) * dw):
-            root = math.sqrt(max(inner, 0.0))
-            if _near(w, 0.0, dw):
-                return [(center, 3)]
-            if side * w > 0:
-                return [(center + root / 3.0, 2), (center - 2.0 * root / 3.0, 1)]
-            return [(center - root / 3.0, 2), (center + 2.0 * root / 3.0, 1)]
-    return None
+def _depressed(canon: Canonical, a: float, b: float, c: float) -> tuple[float, float, float, float]:
+    """(p, q, dp, dq): the canonical cubic s^3 + a s^2 + b s + c in its
+    depressed form y^3 + p y + q, y = s + a / 3, and first-order bounds dp,
+    dq on the rounding of p and q.
 
-
-def diagonal_coincident_roots(
-    musq: float, e12_sq: float, detune_sq: float, err: float = 0.0
-) -> list[tuple[float, int]] | None:
-    """Closed-form coinciding roots for the diagonal cubic, if its branch
-    conditions hold to their rounding.
-
-    Arguments are |lambda1 - lambda2|^2, |e12|^2 and the squared effective
-    detuning, with err a bound on the rounding of the last two; returns
-    [(s, multiplicity), ...] or None.
+    A bound is what the rounding of g and h (``Canonical.err``) makes of p
+    or q, plus 2 eps times the size of its terms (the value with every term
+    taken positive), which bounds the rounding of evaluating it from
+    (x, t, g, h).
     """
-    return _coincident_roots(musq, e12_sq, detune_sq, err, -musq / 3.0, 1.0)
-
-
-def jordan_coincident_roots(
-    gap_sq: float, coupling_sq: float, err: float = 0.0
-) -> list[tuple[float, int]] | None:
-    """Closed-form coinciding roots for the Jordan cubic, whose branch
-    conditions are the diagonal ones at |lambda1 - lambda2|^2 = 1 with
-    coupling_sq for |e12|^2 and gap_sq for the detuning; its roots center
-    on -2/3 and its double root lies on the other side."""
-    return _coincident_roots(1.0, coupling_sq, gap_sq, err, -2.0 / 3.0, -1.0)
-
-
-def _closed_form_roots(canon: Canonical) -> list[tuple[complex, int]] | None:
-    """Coinciding roots of the diagonal (t = 0) or Jordan (x = 0) shape
-    when their branch conditions hold, in s = rate / c'^2."""
+    x, t = canon.x, canon.t
     g, h = canon.scaled
-    h2 = abs(h) ** 2
-    # Rounding of g^2 and |h|^2 from that of g and h.
-    err = canon.err * (2.0 * max(abs(g), abs(h)) + canon.err)
-    if canon.t == 0.0:
-        out = diagonal_coincident_roots(4.0 * canon.x**2, h2, g * g, err)
-    elif canon.x == 0.0:
-        out = jordan_coincident_roots(g * g, h2, err)
-    else:
-        return None
-    return None if out is None else [(complex(s), mult) for s, mult in out]
+    re, im = abs(h.real), abs(h.imag)
+    p = b - a * a / 3.0
+    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+    # The one term of c that cancels is d^2 = (t g - 2 x Re h)^2, of size
+    # (|t g| + 2 x |Re h|)^2.
+    d = t * g - 2.0 * x * h.real
+    size_c = c - d * d + (t * abs(g) + 2.0 * x * re) ** 2
+    err = canon.err
+    db = err * (2.0 * abs(g) + 8.0 * (re + im) + 9.0 * err)
+    dc = err * (
+        2.0 * (t + 2.0 * x) * (abs(d) + 1.5 * err) + (8.0 * x * x + 4.0 * t * t) * (re + 2.0 * im + 3.0 * err)
+    )
+    dp = db + 2.0 * EPS * (b + a * a / 3.0)
+    dq = dc + a * db / 3.0 + 2.0 * EPS * (2.0 * a**3 / 27.0 + a * b / 3.0 + size_c)
+    return p, q, dp, dq
+
+
+def _canonical_roots(canon: Canonical, a: float, b: float, c: float) -> list[tuple[complex, int]]:
+    """Roots of the canonical cubic s^3 + a s^2 + b s + c in s = rate / c'^2,
+    with their multiplicities.
+
+    Multiple roots are decided from the depressed form y^3 + p y + q.  The
+    roots u (double) and -2 u give p = -3 u^2 and q = 2 u^3, so the
+    discriminant -4 p^3 - 27 q^2 vanishes.  A triple root (u = 0) is taken
+    where p and q vanish to their rounding; a double root where the cubic
+    of u = sign(q) sqrt(-p / 3) matches p to its rounding and q to
+    dq + |u| dp (q* = 2 (-p / 3)^(3/2) has slope -u in p).  Away from the
+    triple point this is -4 p^3 = 27 q^2 to about 12 p^2 dp + 54 |q| dq;
+    near it, where the discriminant vanishes to second order, it still
+    asks q to be 2 u^3.  Both roots are closed forms, exact on their
+    manifold.  Elsewhere the roots are those of ``cubic_roots``, each
+    simple.
+    """
+    p, q, dp, dq = _depressed(canon, a, b, c)
+    # + 0.0 makes a zero root +0.0 where a = 0.
+    center = -a / 3.0 + 0.0
+    if _near(p, 0.0, dp) and _near(q, 0.0, dq):
+        return [(complex(center), 3)]
+    u = math.copysign(math.sqrt(max(-p / 3.0, 0.0)), q)
+    if _near(p, -3.0 * u * u, dp) and _near(q, 2.0 * u**3, dq + abs(u) * dp):
+        return [(complex(center + u), 2), (complex(center - 2.0 * u), 1)]
+    return [(s, 1) for s in cubic_roots(a, b, c)]
 
 
 _R = math.sqrt(0.5)
@@ -365,14 +362,18 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
     rows, frame, unit = generator_rows(spec)
     if c > 0:
         p2, p1, p0 = _canonical_cubic(spec.canonical)
-        s_roots = _closed_form_roots(spec.canonical) or list(cubic_roots(p2, p1, p0).roots)
+        s_roots = _canonical_roots(spec.canonical, p2, p1, p0)
     else:
-        s_roots = list(cubic_roots(*char_cubic(spec)).roots)
+        # The roots of the closed cubic s (s^2 + (E1 - E2)^2) of
+        # ``char_cubic``, with E1 - E2 taken by hypot: no square under- or
+        # overflows.
+        (_, h01), _ = spec.hamiltonian.entries
+        e12 = math.hypot(spec.hamiltonian.gap, 2.0 * abs(h01))
+        s_roots = [(complex(0.0, -e12), 1), (0j, 1), (complex(0.0, e12), 1)] if e12 else [(0j, 3)]
     scale = unit if c > 0 else 1.0
     ratio = scale / unit  # from s to the units of rows
 
-    root_scale = max([1.0] + [abs(s) for s, _ in s_roots])
-    ztol = 1e-10 * root_scale
+    ztol = 1e-10 * max(abs(s) for s, _ in s_roots)
 
     # Chain vectors map as the traceless matrices they stand for, so they
     # stay Jordan chains of the caller's generator.
@@ -382,7 +383,8 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
         rate = s * scale
         if abs(s.imag) <= ztol:
             rate = complex(rate.real)
-            # Multiplicity is decided to COINCIDENCE_RTOL of the root scale.
+            # The eigenvectors of a multiple root are counted to
+            # COINCIDENCE_RTOL of the root scale.
             tol = COINCIDENCE_RTOL * max(scale, abs(rate)) / unit
             for chain in _real_root_chains(_minus_rate(rows, s.real * ratio), mult, tol):
                 for j in range(1, len(chain)):

@@ -165,8 +165,7 @@ def test_criterion_04_stability_of_decay_rates():
     for _ in range(10_000):
         spec = random_spec(rng, form="jordan", c_range=(0.1, 3.0))
         p2, p1, p0 = char_cubic(spec)
-        roots = cubic_roots(p2, p1, p0)
-        vals = roots.values()
+        vals = cubic_roots(p2, p1, p0)
         worst_re = max(worst_re, max(v.real for v in vals))
         s1 = sum(vals)
         s2 = vals[0] * vals[1] + vals[0] * vals[2] + vals[1] * vals[2]
@@ -184,7 +183,7 @@ def test_criterion_04_stability_of_decay_rates():
             Hamiltonian.diagonal(e1, e2),
             DiagonalL(random_complex(rng), random_complex(rng), rng.uniform(0.1, 3.0)),
         )
-        vals = cubic_roots(*char_cubic(spec)).values()
+        vals = cubic_roots(*char_cubic(spec))
         zeros = [v for v in vals if abs(v.real) < 1e-12 and abs(v.imag) < 1e-12]
         zero_ok = zero_ok and len(zeros) == 1
 
@@ -194,7 +193,7 @@ def test_criterion_04_stability_of_decay_rates():
         spec = SystemSpec(
             random_hamiltonian(rng), DiagonalL(lam, lam, rng.uniform(0.1, 3.0))
         )
-        vals = cubic_roots(*char_cubic(spec)).values()
+        vals = cubic_roots(*char_cubic(spec))
         pair = [v for v in vals if abs(v) > 1e-12]
         imag_ok = imag_ok and all(v.real == 0.0 for v in pair)
 

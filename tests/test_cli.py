@@ -477,6 +477,7 @@ class TestErrors:
         assert main(["--job", write_job(tmp_path, doc)]) == EXIT_SCHEMA
         assert f"$.time_grid.{field}" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c", [1e-150, 1e-160, 1e-200])
     @pytest.mark.parametrize("command", ["pointer", "spectrum", "evolve"])
     def test_tiny_coupling_is_a_contract_violation(self, c, command, tmp_path, capsys):

@@ -17,6 +17,7 @@ from fgkls.evolution import (
 )
 from fgkls.model import (
     DiagonalL,
+    GeneralL,
     Hamiltonian,
     JordanL,
     SystemSpec,
@@ -26,7 +27,7 @@ from fgkls.model import (
 )
 from fgkls.oracle import det_scan
 from fgkls.pointer import UniquePointer, compute_pointer
-from fgkls.sampling import random_density, random_spec
+from fgkls.sampling import random_complex, random_density, random_hamiltonian, random_spec
 from fgkls.spectral import spectrum
 from fgkls.uniton import classify_unitons
 from test_acceptance import (
@@ -90,6 +91,18 @@ class TestSolveIvp:
             assert rho[0, 0].real == pytest.approx(0.25, abs=1e-12)
             expected = rho0[0, 1] * np.exp(-1j * h.gap * t)
             assert rho[0, 1] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("log_scale", range(-170, 151, 20))
+    def test_closed_systems_at_extreme_scales(self, log_scale):
+        """c = 0 with a random Hermitian H of size 10^log_scale and a
+        non-normal l: the solution is built without raising and its Newton
+        vectors are finite."""
+        rng = np.random.default_rng(log_scale + 1000)
+        for _ in range(9):
+            l = np.array([[random_complex(rng) for _ in range(2)] for _ in range(2)])
+            spec = SystemSpec(random_hamiltonian(rng, 10.0**log_scale), GeneralL(l, 0.0))
+            sol = solve_ivp(spec, random_density(rng))
+            assert np.all(np.isfinite(sol.terms))
 
     def test_initial_state_reproduced(self, rng):
         for form in ("diagonal", "jordan", "general"):

@@ -172,6 +172,21 @@ def test_scaling_h_and_c_squared_together_only_rescales_time(seed, form, log_alp
     assert np.max(np.abs(representative(ptr_scaled) - representative(ptr))) <= 1e-9
 
 
+@given(seed=st.integers(0, 2**32 - 1), log_alpha=st.floats(-12.0, 12.0))
+@settings(max_examples=60, deadline=None)
+def test_scaling_a_closed_system_only_rescales_time(seed, log_alpha):
+    """(H, c = 0) -> (a H, 0) takes M to a M: the structure stays and every
+    rate scales by a, with no absolute floor between small and large H."""
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, "general", c_range=(0.0, 0.0))
+    alpha = 10.0**log_alpha
+    scaled = SystemSpec(Hamiltonian(alpha * spec.hamiltonian.matrix), spec.lindblad)
+    assert spectrum(scaled).structure is spectrum(spec).structure
+    want = rates(spec)
+    got = [r / alpha for r in rates(scaled)]
+    assert max_rate_mismatch(got, want) <= 4 * np.finfo(float).eps * max(map(abs, want))
+
+
 @pytest.mark.parametrize(
     "spec, variant",
     [

@@ -1,7 +1,10 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fgkls.generator import build_generator
 from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec
@@ -12,18 +15,27 @@ from fgkls.spectral import (
     SpectrumStructure,
     StabilityVerdict,
     _canonical_cubic,
+    _depressed,
     _minus_rate,
     _largest_cross,
     _real_root_chains,
     _scaled_rows,
     assert_stability,
     char_cubic,
-    diagonal_coincident_roots,
-    jordan_coincident_roots,
     spectrum,
 )
-from test_acceptance import diagonal_double_root_spec, jordan_double_root_spec, jordan_triple_root_spec
+from test_acceptance import (
+    diagonal_double_root_spec,
+    haar_unitary,
+    jordan_double_root_spec,
+    jordan_triple_root_spec,
+    rotated_general,
+)
+from test_evolution import NEAR_MANIFOLD, NEAR_MANIFOLD_DISTANCES
+from test_invariance import CHAIN_RTOL
+from test_scalar_pipeline import workload_ops
 
+EPS = np.finfo(float).eps
 DEGENERATE_H = Hamiltonian.diagonal(0.5, 0.5)
 
 
@@ -74,50 +86,69 @@ class TestCharCubic:
             )
 
 
+def jordan_system(gap_sq, coupling_sq):
+    """The Jordan shape at c = 1 with level gap^2 and |h01|^2 given."""
+    g, h = math.sqrt(gap_sq), math.sqrt(coupling_sq)
+    return SystemSpec(Hamiltonian([[g / 2, h], [h, -g / 2]]), JordanL(0.0, 1.0))
+
+
+def diagonal_system(e12_sq, detune_sq):
+    """The diagonal shape at c = 1 with |lambda1 - lambda2|^2 = 1, |e12|^2
+    and the squared detuning given."""
+    g, h = math.sqrt(detune_sq), math.sqrt(e12_sq)
+    return SystemSpec(Hamiltonian([[g / 2, h], [h, -g / 2]]), DiagonalL(1.0, 0.0, 1.0))
+
+
+def coinciding_roots(spec):
+    """spectrum's structure and its roots in rate / c^2, each repeated by
+    its algebraic multiplicity."""
+    md = spectrum(spec)
+    return md.structure, sorted(s.real for s, mult in md.s_roots(spec.c) for _ in range(mult))
+
+
 class TestCoincidentBranches:
     def test_jordan_origin_is_double_branch(self):
-        # Both coupling invariants zero satisfies the two-root equality and
-        # the positive sign test, giving s = -1/2 (double), -1.
-        roots = jordan_coincident_roots(0.0, 0.0)
-        assert roots == [(-0.5, 2), (-1.0, 1)]
+        # Both coupling invariants zero: s = -1/2 (double), -1.
+        structure, roots = coinciding_roots(jordan_system(0.0, 0.0))
+        assert structure is SpectrumStructure.DOUBLE_ROOT
+        assert roots == pytest.approx([-1.0, -0.5, -0.5], abs=1e-15)
 
     def test_jordan_known_double_family(self):
-        # gap 0, coupling 1/64 solves the equality with the negative sign
-        # test: s = -3/4 (double), -1/2 (checked via root sums/products).
-        roots = jordan_coincident_roots(0.0, 1.0 / 64.0)
-        assert roots == [(-0.75, 2), (-0.5, 1)]
+        # gap 0, coupling 1/64: s = -3/4 (double), -1/2.
+        structure, roots = coinciding_roots(jordan_system(0.0, 1.0 / 64.0))
+        assert structure is SpectrumStructure.DOUBLE_ROOT
+        assert roots == pytest.approx([-0.75, -0.75, -0.5], abs=1e-15)
 
     def test_jordan_triple(self):
-        roots = jordan_coincident_roots(1.0 / 108.0, 1.0 / 54.0)
-        assert roots == [(-2.0 / 3.0, 3)]
+        structure, roots = coinciding_roots(jordan_system(1.0 / 108.0, 1.0 / 54.0))
+        assert structure is SpectrumStructure.TRIPLE_ROOT
+        assert roots == pytest.approx([-2.0 / 3.0] * 3, abs=1e-15)
 
     def test_diagonal_double_family(self):
         # |mu|^2 = 1, |e12|^2 = 1/64, detune 0: s = -1/4 (double), -1/2.
-        roots = diagonal_coincident_roots(1.0, 1.0 / 64.0, 0.0)
-        assert roots == [(-0.25, 2), (-0.5, 1)]
+        structure, roots = coinciding_roots(diagonal_system(1.0 / 64.0, 0.0))
+        assert structure is SpectrumStructure.DOUBLE_ROOT
+        assert roots == pytest.approx([-0.5, -0.25, -0.25], abs=1e-15)
 
     def test_diagonal_triple(self):
-        roots = diagonal_coincident_roots(1.0, 1.0 / 54.0, 1.0 / 108.0)
-        assert roots == [(-1.0 / 3.0, 3)]
+        structure, roots = coinciding_roots(diagonal_system(1.0 / 54.0, 1.0 / 108.0))
+        assert structure is SpectrumStructure.TRIPLE_ROOT
+        assert roots == pytest.approx([-1.0 / 3.0] * 3, abs=1e-15)
 
     def test_generic_parameters_do_not_trigger(self, rng):
         for _ in range(50):
             e, k = rng.uniform(0.0, 0.5, size=2)
-            out = jordan_coincident_roots(e, k)
-            if out is not None:
+            structure, roots = coinciding_roots(jordan_system(e, k))
+            if structure in (SpectrumStructure.DOUBLE_ROOT, SpectrumStructure.TRIPLE_ROOT):
                 # Extremely unlikely; if it fires the roots must check out.
-                svals = [s for s, m in out for _ in range(m)]
-                assert vieta_residuals(
-                    svals, 2.0, 1.25 + e + 4 * k, 0.25 + e + 2 * k
-                ) < 1e-5
+                assert vieta_residuals(roots, 2.0, 1.25 + e + 4 * k, 0.25 + e + 2 * k) < 1e-5
 
     def test_double_branch_agrees_with_raw_cubic(self):
         # Representable double case: raw cubic and branch formulas coincide.
         p2, p1, p0 = 2.0, 1.25 + 4.0 / 64.0, 0.25 + 2.0 / 64.0
-        raw = sorted(cubic_roots(p2, p1, p0).values(), key=lambda z: z.real)
-        branch = jordan_coincident_roots(0.0, 1.0 / 64.0)
-        expanded = sorted([s for s, m in branch for _ in range(m)])
-        for a, b in zip(raw, expanded):
+        raw = sorted(z.real for z in cubic_roots(p2, p1, p0))
+        _, branch = coinciding_roots(jordan_system(0.0, 1.0 / 64.0))
+        for a, b in zip(raw, branch):
             assert abs(a - b) < 1e-6
 
     def test_triple_branch_root_mean_matches_raw_cubic(self):
@@ -126,7 +157,7 @@ class TestCoincidentBranches:
         # and individuals loosely.
         e, k = 1.0 / 108.0, 1.0 / 54.0
         p2, p1, p0 = 2.0, 1.25 + e + 4 * k, 0.25 + e + 2 * k
-        raw = cubic_roots(p2, p1, p0).values()
+        raw = cubic_roots(p2, p1, p0)
         assert abs(sum(raw) / 3.0 - (-2.0 / 3.0)) < 1e-6
         for r in raw:
             assert abs(r - (-2.0 / 3.0)) < 1e-4
@@ -289,8 +320,7 @@ class TestCrossProductEigenvectors:
     def check_simple_roots(spec):
         canon = spec.canonical
         m = np.array(_scaled_rows(canon))
-        for s, mult in cubic_roots(*_canonical_cubic(canon)).roots:
-            assert mult == 1
+        for s in cubic_roots(*_canonical_cubic(canon)):
             b = m - s * np.eye(3)
             _, _, n, n2 = _largest_cross(b.tolist())
             v = np.array(n) / np.sqrt(n2)
@@ -380,3 +410,154 @@ class TestChainsAreSolvedOnce:
             md = spectrum(family(rng))
             assert sum(len(m.vectors) - 1 for m in md.modes) == links
         assert not calls
+
+
+@pytest.mark.parametrize("gap", [1.0, 1e-4, 1e-6, 1e-9, 1e-13, 0.0])
+@pytest.mark.parametrize("lindblad", [DiagonalL(1.0, 0.0, 0.0), DiagonalL(1.0, 1.0, 1.0)], ids=["closed", "scalar"])
+def test_closed_and_scalar_spectra_are_exact_at_any_gap(gap, lindblad):
+    """A closed system and a scalar coupling have the rates 0 and +/- i gap
+    whatever the gap's size: oscillating modes, or three zero modes at
+    gap 0, with eigenvectors of full rank and an exact +0 zero rate."""
+    spec = SystemSpec(Hamiltonian.diagonal(gap / 2, -gap / 2), lindblad)
+    md = spectrum(spec)
+    got = sorted((m.rate for m in md.modes), key=lambda z: z.imag)
+    for r, want in zip(got, (-1j * gap, 0j, 1j * gap)):
+        assert abs(r - want) <= 4 * EPS * gap
+    assert math.copysign(1.0, got[1].real) == 1.0 and got[1] == 0
+    if gap:
+        assert md.structure is SpectrumStructure.OSCILLATORY_UNDAMPED
+    else:
+        assert md.structure is SpectrumStructure.ZERO_MODE
+    assert np.linalg.matrix_rank(np.array([m.vectors[0] for m in md.modes])) == 3
+
+
+def general_double_root_system(x, g, h):
+    """H = [[g/2, h], [conj h, -g/2]] with l = [[x, t], [0, -x]], t^2 = 1 - x^2, at c = 1."""
+    t = math.sqrt(1.0 - x * x)
+    ham = Hamiltonian([[g / 2, h], [h.conjugate(), -g / 2]])
+    return SystemSpec(ham, GeneralL([[x, t], [0.0, -x]], 1.0))
+
+
+def cubic_discriminant(spec):
+    """-4 p^3 - 27 q^2 of char_cubic in its depressed form."""
+    a, b, c = (z.real for z in char_cubic(spec))
+    p, q = b - a * a / 3, 2 * a**3 / 27 - a * b / 3 + c
+    return -4 * p**3 - 27 * q * q
+
+
+@pytest.fixture(scope="module")
+def general_double_roots():
+    """(x, g, h) of the 144 systems, out of 300 draws, with a non-normal l
+    of distinct eigenvalues (x, t > 0) and a double root for some g in
+    [0, 5]: g at the first sign change of the cubic's discriminant on a
+    201-point grid, h scaled by 0.05, 0.2 and 1 in turn."""
+    rng = np.random.default_rng(11)
+    grid = np.linspace(0.0, 5.0, 201)
+    out = []
+    for i in range(300):
+        x = rng.uniform(0.05, 0.95)
+        h = complex(*rng.normal(size=2)) * (0.05, 0.2, 1.0)[i % 3]
+        disc = lambda g: cubic_discriminant(general_double_root_system(x, g, h))
+        signs = np.sign([disc(g) for g in grid])
+        change = np.flatnonzero(signs[:-1] * signs[1:] <= 0)
+        if len(change):
+            lo, hi = grid[change[0]], grid[change[0] + 1]
+            out.append((x, brentq(disc, lo, hi, xtol=1e-300, rtol=4 * EPS, maxiter=500), h))
+    assert len(out) == 144
+    return out
+
+
+def test_general_double_roots_have_a_chain(general_double_roots):
+    """Every point of the manifold, canonical and Haar-rotated, is a double
+    root with a Jordan chain of the caller's generator; 1e-8 off it in g no
+    root is multiple."""
+    rng = np.random.default_rng(12)
+    for x, g, h in general_double_roots:
+        spec = general_double_root_system(x, g, h)
+        for case in (spec, rotated_general(spec, haar_unitary(rng))):
+            md = spectrum(case)
+            assert md.structure is SpectrumStructure.DOUBLE_ROOT
+            assert sorted(len(m.vectors) for m in md.modes) == [1, 2]
+            m = build_generator(case).matrix
+            bound = CHAIN_RTOL * max(1.0, float(np.linalg.norm(m)))
+            for mode in md.modes:
+                b = m - mode.rate * np.eye(3)
+                vs = [np.array(v) for v in mode.vectors]
+                assert np.linalg.norm(b @ vs[0]) <= bound
+                for prev, link in zip(vs, vs[1:]):
+                    assert np.linalg.norm(b @ link - prev) <= bound
+        for off in (1e-8, -1e-8):
+            md = spectrum(general_double_root_system(x, g + off, h))
+            assert all(len(m.vectors) == 1 for m in md.modes)
+            assert md.structure in (SpectrumStructure.DISTINCT, SpectrumStructure.COMPLEX_PAIR_PLUS_REAL)
+
+
+def cubic_miss(spec):
+    """Largest |e_k(rates) - cubic_k| / (eps R^k), R the largest |rate|, of
+    spectrum's rates against char_cubic, in its variable."""
+    md = spectrum(spec)
+    scale = spec.c**2 if md.scaled else 1.0
+    r1, r2, r3 = [m.rate / scale for m in md.modes for _ in m.vectors]
+    radius = max(abs(r1), abs(r2), abs(r3))
+    rebuilt = (-(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -(r1 * r2 * r3))
+    return max(abs(e - p) / (EPS * radius**k) for k, (e, p) in enumerate(zip(rebuilt, md.cubic), 1))
+
+
+def test_rates_rebuild_the_cubic(general_double_roots):
+    """spectrum's rates, snapped onto a coinciding-root manifold or not,
+    solve M's cubic to 64 eps R^k: on the benchmark systems (canonical, and
+    120 of them rotated), towards each
+    near-manifold family from either side, canonical and rotated, and
+    10^-k off the general double-root manifold."""
+    specs = [op.spec for op in workload_ops()]
+    rng = np.random.default_rng(13)
+    for family in NEAR_MANIFOLD.values():
+        for d in NEAR_MANIFOLD_DISTANCES:
+            for spec in (family(d), family(-d)):
+                specs += [spec, rotated_general(spec, haar_unitary(rng))]
+    for x, g, h in general_double_roots:
+        specs += [general_double_root_system(x, g + s * 10.0**-k, h) for k in range(4, 17) for s in (1, -1)]
+    assert max(map(cubic_miss, specs)) <= 64.0
+
+
+def exact_depressed(canon):
+    """p and q of the canonical cubic in exact rationals from the floats
+    (x, t, g, h)."""
+    x, t, g = map(Fraction, (canon.x, canon.t, canon.scaled[0]))
+    re, im = Fraction(canon.scaled[1].real), Fraction(canon.scaled[1].imag)
+    x2, t2, h2 = x * x, t * t, re * re + im * im
+    half = 2 * x2 + t2 / 2
+    a = 4 * x2 + 2 * t2
+    b = half * half + g * g + 4 * h2 + t2 * t2 + 3 * x2 * t2
+    c = half * t2 * (x2 + t2 / 2) + (t * g - 2 * x * re) ** 2 + 4 * x2 * (re * re + 2 * im * im) + 2 * t2 * h2
+    return b - a * a / 3, 2 * a**3 / 27 - a * b / 3 + c
+
+
+@pytest.mark.parametrize("shape", ["diagonal", "jordan", "general"])
+def test_depressed_cubic_rounding_bound(shape, general_double_roots):
+    """p, q and the discriminant -4 p^3 - 27 q^2 in floats are within their
+    arithmetic rounding bounds of the exact values from the same canonical
+    floats, on random systems and on the coinciding-root manifolds."""
+    rng = np.random.default_rng(17)
+    on_manifold = {
+        "diagonal": [diagonal_double_root_spec(rng) for _ in range(500)],
+        "jordan": [f(rng) for f in (jordan_double_root_spec, jordan_triple_root_spec) for _ in range(250)],
+        "general": [general_double_root_system(*point) for point in general_double_roots],
+    }[shape]
+    specs = on_manifold + [random_spec(rng, shape) for _ in range(2000 - len(on_manifold))]
+    for spec in specs:
+        # No rounding of g and h: the bounds are those of the arithmetic.
+        canon = dataclasses.replace(spec.canonical, err=0.0)
+        p, q, dp, dq = _depressed(canon, *_canonical_cubic(canon))
+        exact_p, exact_q = exact_depressed(canon)
+        assert abs(Fraction(p) - exact_p) <= dp
+        assert abs(Fraction(q) - exact_q) <= dq
+        disc = -4.0 * p**3 - 27.0 * q * q
+        # Propagated exactly to second and third order, plus the rounding
+        # of evaluating disc from p and q.
+        bound = (
+            4 * dp * (3 * p * p + 3 * abs(p) * dp + dp * dp)
+            + 27 * dq * (2 * abs(q) + dq)
+            + 2 * EPS * (4 * abs(p) ** 3 + 27 * q * q)
+        )
+        assert abs(Fraction(disc) - (-4 * exact_p**3 - 27 * exact_q**2)) <= bound

@@ -278,25 +278,15 @@ def _positivity_payload(spec: SystemSpec, rho0, ts) -> dict:
 
 def _perturb_payload(spec: SystemSpec) -> dict:
     series = perturb.weak_rates(spec)
-    gap = spec.hamiltonian.gap
 
-    def numeric_rates(c: float) -> list[complex]:
-        probe = SystemSpec(spec.hamiltonian, dataclasses.replace(spec.lindblad, c=c))
-        md = spectral.spectrum(probe)
-        return [mode.rate for mode in md.modes for _ in mode.vectors]
+    def at(c: float) -> SystemSpec:
+        return SystemSpec(spec.hamiltonian, dataclasses.replace(spec.lindblad, c=c))
 
-    def matched_error(c: float) -> float:
-        predicted = series.predicted(c)
-        numeric = list(numeric_rates(c))
-        err = 0.0
-        for pred in predicted:
-            j = int(np.argmin([abs(n - pred) for n in numeric]))
-            err = max(err, abs(numeric.pop(j) - pred))
-        return err
+    def rate_error(c: float) -> float:
+        md = spectral.spectrum(at(c))
+        return series.matched_error(c, [mode.rate for mode in md.modes for _ in mode.vectors])
 
-    est = perturb.order_estimate(
-        lambda c: matched_error(c), lambda c: 0.0, perturb.SMALL_C_GRID
-    )
+    est = perturb.order_estimate(rate_error, lambda c: 0.0, perturb.SMALL_C_GRID)
     payload = {
         "branches": [
             {"a0": complex_out(a0), "a1": complex_out(a1)} for a0, a1 in series.branches
@@ -305,17 +295,17 @@ def _perturb_payload(spec: SystemSpec) -> dict:
         "rate_error_saturated": est.saturated,
         "c_grid": list(perturb.SMALL_C_GRID),
     }
-    if isinstance(spec.lindblad, JordanL):
-        # The populations truncated at c^4 miss only the c^8 term (the
-        # coherences already move at c^6), so probe the f11 entry.
-        lam = spec.lindblad.lam
-        exact = lambda c: compute_pointer(
-            SystemSpec(spec.hamiltonian, JordanL(lam, c))
-        ).rho[0, 0]
-        approx = lambda c: perturb.pointer_series(lam, gap, c, 4)[0, 0]
-        pest = perturb.order_estimate(exact, approx, perturb.SMALL_C_GRID)
-        payload["pointer_f11_order4_slope"] = pest.slope
-        payload["pointer_series_saturated"] = pest.saturated
+    try:
+        terms = perturb.pointer_series(spec, 4)[:, 0, 0].tolist()
+    except ContractError:
+        return payload  # no unique pointer
+    # f11 truncated at c^4: the error falls as c^6, or as c^8 where the
+    # populations have no c^6 term (the Jordan shape over a diagonal H).
+    approx = lambda c: terms[0] + terms[1] * c**2 + terms[2] * c**4
+    exact = lambda c: compute_pointer(at(c)).rho[0, 0]
+    pest = perturb.order_estimate(exact, approx, perturb.SMALL_C_GRID)
+    payload["pointer_f11_order4_slope"] = pest.slope
+    payload["pointer_series_saturated"] = pest.saturated
     return payload
 
 

@@ -6,22 +6,27 @@ With rho = [[f11, f12], [f21, f22]], Hermitian and unit trace, the flow
 
 closes on the coordinate vector (f11, f12, f21) once f22 = 1 - f11 is
 eliminated.  The generator is kept unscaled (entries carry eps_ij and c^2
-directly) so the closed-system limit c = 0 stays regular.
+directly) so the closed-system limit c = 0 stays regular.  Its coefficients
+are exactly the closed system's part plus c^2 times the dissipator's at
+unit coupling, the split the weak-coupling series expand in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import SystemSpec, lindblad_operator
+from .model import Entries2, SystemSpec, lindblad_operator
 
-__all__ = ["RateCoefficients", "AffineGenerator", "coefficients", "build_generator", "rhs"]
+__all__ = [
+    "RateCoefficients", "AffineGenerator", "hamiltonian_part", "dissipator_part",
+    "coefficients", "affine_rows", "build_generator", "rhs",
+]
 
 
-@dataclass(frozen=True)
-class RateCoefficients:
+class RateCoefficients(NamedTuple):
     """Coefficients of the linear system for the density-matrix entries.
 
     Named source-to-target: ``d11_22`` multiplies f22 in the f11 equation,
@@ -53,23 +58,28 @@ class AffineGenerator:
     inhom: np.ndarray
 
 
-def coefficients(spec: SystemSpec) -> RateCoefficients:
-    """Rate coefficients from the Hamiltonian entries and L = c * l, on
-    Python scalars: numpy's per-call overhead would cost more than the
-    arithmetic on eight entries."""
-    (e11, e12), (e21, e22) = spec.hamiltonian.entries
-    (l11, l12), (l21, l22) = spec.lindblad.entries
-    c2 = spec.c * spec.c
+def hamiltonian_part(h: Entries2) -> RateCoefficients:
+    """The closed system's coefficients, from the Hamiltonian entries h.
+
+    A coefficient without a Hamiltonian term is -0.0, the exact additive
+    identity of IEEE arithmetic, so adding the dissipator's part keeps it
+    bit for bit."""
+    (e11, e12), (e21, e22) = h
+    zero = complex(-0.0, -0.0)
+    return RateCoefficients(-0.0, -0.0, 1j * e21, 1j * e12, -1j * e12, -1j * (e11 - e22), zero)
+
+
+def dissipator_part(l: Entries2, c2: float) -> RateCoefficients:
+    """The dissipator's coefficients for L = c * l with c^2 = c2, on Python
+    scalars: numpy's per-call overhead would cost more than the arithmetic."""
+    (l11, l12), (l21, l22) = l
     return RateCoefficients(
         d11_11=-c2 * abs(l21) ** 2,
         d11_22=c2 * abs(l12) ** 2,
-        d11_12=1j * e21 + 0.5 * c2 * (l11 * l12.conjugate() - l22.conjugate() * l21),
-        d12_11=1j * e12
-        + c2 * (l11 * l21.conjugate() - 0.5 * l11.conjugate() * l12 - 0.5 * l21.conjugate() * l22),
-        d12_22=-1j * e12
-        + c2 * (l22.conjugate() * l12 - 0.5 * l11.conjugate() * l12 - 0.5 * l21.conjugate() * l22),
-        d12_12=-1j * (e11 - e22)
-        + c2
+        d11_12=0.5 * c2 * (l11 * l12.conjugate() - l22.conjugate() * l21),
+        d12_11=c2 * (l11 * l21.conjugate() - 0.5 * l11.conjugate() * l12 - 0.5 * l21.conjugate() * l22),
+        d12_22=c2 * (l22.conjugate() * l12 - 0.5 * l11.conjugate() * l12 - 0.5 * l21.conjugate() * l22),
+        d12_12=c2
         * (
             l11 * l22.conjugate()
             - 0.5 * (abs(l11) ** 2 + abs(l22) ** 2 + abs(l12) ** 2 + abs(l21) ** 2)
@@ -78,20 +88,31 @@ def coefficients(spec: SystemSpec) -> RateCoefficients:
     )
 
 
+def coefficients(spec: SystemSpec) -> RateCoefficients:
+    """Rate coefficients of the system: the closed system's part plus the
+    dissipator's, which is exactly linear in c^2."""
+    k0 = hamiltonian_part(spec.hamiltonian.entries)
+    k1 = dissipator_part(spec.lindblad.entries, spec.c * spec.c)
+    return RateCoefficients(*[a + b for a, b in zip(k0, k1)])
+
+
+def affine_rows(k: RateCoefficients) -> tuple[list[list[complex]], list[complex]]:
+    """Rows of the matrix and the inhomogeneous term of the affine generator
+    with coefficients k, on (f11, f12, f21) after eliminating f22 = 1 - f11.
+    They are linear in k."""
+    m10 = k.d12_11 - k.d12_22
+    rows = [
+        [k.d11_11 - k.d11_22, k.d11_12, k.d11_12.conjugate()],
+        [m10, k.d12_12, k.d12_21],
+        [m10.conjugate(), k.d12_21.conjugate(), k.d12_12.conjugate()],
+    ]
+    return rows, [k.d11_22, k.d12_22, k.d12_22.conjugate()]
+
+
 def build_generator(spec: SystemSpec) -> AffineGenerator:
     """Affine generator on (f11, f12, f21) after eliminating f22 = 1 - f11."""
-    k = coefficients(spec)
-    m10 = k.d12_11 - k.d12_22
-    m = np.array(
-        [
-            [k.d11_11 - k.d11_22, k.d11_12, k.d11_12.conjugate()],
-            [m10, k.d12_12, k.d12_21],
-            [m10.conjugate(), k.d12_21.conjugate(), k.d12_12.conjugate()],
-        ],
-        dtype=complex,
-    )
-    b = np.array([k.d11_22, k.d12_22, k.d12_22.conjugate()], dtype=complex)
-    return AffineGenerator(matrix=m, inhom=b)
+    m, b = affine_rows(coefficients(spec))
+    return AffineGenerator(matrix=np.array(m, dtype=complex), inhom=np.array(b, dtype=complex))
 
 
 def rhs(spec: SystemSpec, rho: np.ndarray) -> np.ndarray:

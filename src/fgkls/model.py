@@ -26,7 +26,8 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 HERMITICITY_ATOL = 1e-14
 EPS = sys.float_info.epsilon
 # Rounding level of the shape decisions on a general l, relative to its
-# largest entry (see ``_general_shape``).
+# largest entry (see ``_general_shape``), and of a vanishing level splitting
+# of H in the weak-coupling series.
 SHAPE_RTOL = 64 * EPS
 # The closed forms take up to the sixth power of H' / c'^2 (the cubic's
 # discriminant), so its entries must stay below the sixth root of the

@@ -20,12 +20,13 @@ is real.  Modes are mapped back through the frame U.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InternalError
+from .errors import ContractError, InternalError
 from .generator import build_generator
 from .model import EPS, Canonical, Entries2, SystemSpec, coords_from_frame, dagger_coords, direction_matrix
 from .numerics import COINCIDENCE_RTOL, cubic_roots, unit_scaled
@@ -146,7 +147,7 @@ def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
     # The rates are frame-invariant, but s' = rate / c'^2 = s / k.
     k = (canon.c / c) ** 2
     p2, p1, p0 = _canonical_cubic(canon)
-    return (complex(p2 * k), complex(p1 * k * k), complex(p0 * k**3))
+    return (complex(p2 * k), complex(p1 * k * k), complex(p0 * k * k * k))
 
 
 def _near(a: float, b: float, err: float) -> bool:
@@ -356,9 +357,12 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
     a closed system.
 
     Modes are extracted from the rows of M / w of ``generator_rows``; the
-    j-th link of a chain is scaled back by w^-j.
+    j-th link of a chain is scaled back by w^-j.  Raises ``ContractError``
+    when c^2, the unit of the rates in s, is not a normal float.
     """
     c = spec.c
+    if c > 0 and not sys.float_info.min <= c * c < math.inf:
+        raise ContractError(f"c^2 = {c * c!r} is not a normal float")
     rows, frame, unit = generator_rows(spec)
     if c > 0:
         p2, p1, p0 = _canonical_cubic(spec.canonical)

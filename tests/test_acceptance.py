@@ -303,8 +303,9 @@ def test_criterion_08_perturbation_orders():
     rates_ok = not est_rates.saturated and abs(est_rates.slope - 4.0) <= 0.5
 
     exact_f11 = lambda c: compute_pointer(SystemSpec(h, JordanL(1.0, c))).rho[0, 0]
+    f11 = pointer_series(SystemSpec(h, JordanL(1.0, 0.1)), 4)[:, 0, 0]
     est_f11 = order_estimate(
-        exact_f11, lambda c: pointer_series(1.0, 1.0, c, 4)[0, 0], SMALL_C_GRID
+        exact_f11, lambda c: f11[0] + f11[1] * c**2 + f11[2] * c**4, SMALL_C_GRID
     )
     f11_ok = not est_f11.saturated and abs(est_f11.slope - 8.0) <= 0.5
 

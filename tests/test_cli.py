@@ -33,6 +33,30 @@ from fgkls.model import (
 from fgkls.sampling import random_density, random_spec
 
 
+# H = diag(1, 0) with JordanL(0.8 + 0.3i, 0.1), rotated by a Haar unitary
+# into general form.
+ROTATED_JORDAN = {
+    "hamiltonian": [
+        [[0.09744017214412287, 0.0], [-0.28531615657584497, 0.08087197161832083]],
+        [[-0.28531615657584497, -0.08087197161832083], [0.9025598278558772, 0.0]],
+    ],
+    "lindblad": {
+        "form": "general",
+        "c": 0.1,
+        "l": [
+            [[0.5145883140450647, 0.3805341822893106], [-0.08300791245281493, 0.051032084199081035]],
+            [[0.9025591955320095, 0.0010683725205872761], [1.0854116859549356, 0.21946581771068935]],
+        ],
+    },
+}
+
+# c^2 = 1e-320 is subnormal, while c'^2 of the coupling c l is normal.
+SUBNORMAL_C_SQUARED = {
+    "hamiltonian": [[0.3, [0.1, 0.2]], [[0.1, -0.2], -0.4]],
+    "lindblad": {"form": "general", "c": 1e-160, "l": [[1e150, 1e150], [0.0, 2e150]]},
+}
+
+
 def write_job(tmp_path, doc, name="job.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -276,7 +300,7 @@ class TestPerturbCommand:
         assert abs(payload["rate_error_slope"] - 4.0) < 0.5
         assert abs(payload["pointer_f11_order4_slope"] - 8.0) < 0.5
 
-    def test_non_diagonal_h_is_contract_error(self, tmp_path):
+    def test_non_diagonal_h_is_accepted(self, tmp_path, capsys):
         doc = {
             "command": "perturb",
             "system": {
@@ -284,7 +308,24 @@ class TestPerturbCommand:
                 "lindblad": {"form": "jordan", "c": 0.1, "lambda": [0.8, 0.3]},
             },
         }
-        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_CONTRACT
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(b["a0"][1] for b in payload["branches"]) == pytest.approx(
+            [-math.hypot(1.0, 0.6), 0.0, math.hypot(1.0, 0.6)], abs=1e-15
+        )
+        assert abs(payload["rate_error_slope"] - 4.0) < 0.5
+        # Level mixing gives the populations a c^6 term.
+        assert abs(payload["pointer_f11_order4_slope"] - 6.0) < 0.5
+
+    def test_rotated_jordan_keeps_the_diagonal_branches(self, tmp_path, capsys):
+        # H = diag(1, 0) with JordanL(0.8 + 0.3i, 0.1), Haar-rotated into general form.
+        doc = {"command": "perturb", "system": ROTATED_JORDAN}
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        a1s = sorted(b["a1"][0] for b in payload["branches"])
+        assert a1s == pytest.approx([-1.0, -0.5, -0.5], abs=1e-12)
+        assert abs(payload["rate_error_slope"] - 4.0) < 0.5
+        assert abs(payload["pointer_f11_order4_slope"] - 6.0) < 0.5
 
 
 class TestUnitonCommand:
@@ -486,6 +527,19 @@ class TestErrors:
         doc["system"]["lindblad"]["c"] = c
         assert main(["--job", write_job(tmp_path, doc)]) == EXIT_CONTRACT
         assert "contract violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["pointer", "spectrum", "evolve", "positivity", "perturb", "uniton", "oracle-check"]
+    )
+    def test_subnormal_c_squared_ends_without_a_traceback(self, command, tmp_path, capsys):
+        doc = degenerate_jordan_job(command=command, initial_state=[[0.5, 0.0], [0.0, 0.5]])
+        doc["system"] = SUBNORMAL_C_SQUARED
+        doc["time_grid"] = {"t_end": 1.0, "points": 3}
+        code = main(["--job", write_job(tmp_path, doc)])
+        assert code in (EXIT_OK, EXIT_CONTRACT)
+        if command in ("spectrum", "evolve"):
+            assert code == EXIT_CONTRACT
+            assert "c^2 = 1e-320 is not a normal float" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["--job", str(tmp_path / "nope.json")]) == EXIT_SCHEMA

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,51 @@ class TestCoefficients:
         assert k.d12_12 == pytest.approx(-1j * h.gap)
 
 
+def reference_generator(spec):
+    """The generator from the coefficients written out in one piece, as
+    they were before the split into the closed system's and the
+    dissipator's parts."""
+    (e11, e12), (e21, e22) = spec.hamiltonian.entries
+    (l11, l12), (l21, l22) = spec.lindblad.entries
+    c2 = spec.c * spec.c
+    d11_11 = -c2 * abs(l21) ** 2
+    d11_22 = c2 * abs(l12) ** 2
+    d11_12 = 1j * e21 + 0.5 * c2 * (l11 * l12.conjugate() - l22.conjugate() * l21)
+    d12_11 = 1j * e12 + c2 * (
+        l11 * l21.conjugate() - 0.5 * l11.conjugate() * l12 - 0.5 * l21.conjugate() * l22
+    )
+    d12_22 = -1j * e12 + c2 * (
+        l22.conjugate() * l12 - 0.5 * l11.conjugate() * l12 - 0.5 * l21.conjugate() * l22
+    )
+    d12_12 = -1j * (e11 - e22) + c2 * (
+        l11 * l22.conjugate() - 0.5 * (abs(l11) ** 2 + abs(l22) ** 2 + abs(l12) ** 2 + abs(l21) ** 2)
+    )
+    d12_21 = c2 * l12 * l21.conjugate()
+    m10 = d12_11 - d12_22
+    m = np.array(
+        [
+            [d11_11 - d11_22, d11_12, d11_12.conjugate()],
+            [m10, d12_12, d12_21],
+            [m10.conjugate(), d12_21.conjugate(), d12_12.conjugate()],
+        ],
+        dtype=complex,
+    )
+    return m, np.array([d11_22, d12_22, d12_22.conjugate()], dtype=complex)
+
+
 class TestBuildGenerator:
+    def test_split_keeps_every_bit(self, rng):
+        # Summing the closed system's and the dissipator's parts changes no
+        # bit of the generator, signs of zero included.
+        for i in range(600):
+            spec = random_spec(rng, form=("diagonal", "jordan", "general")[i % 3], c_range=(0.0, 2.0))
+            if i % 5 == 0:
+                spec = SystemSpec(spec.hamiltonian, dataclasses.replace(spec.lindblad, c=0.0))
+            gen = build_generator(spec)
+            for got, want in zip((gen.matrix, gen.inhom), reference_generator(spec)):
+                assert np.array_equal(got.view(float), want.view(float))
+                assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
     def test_jordan_first_row(self):
         h = hamiltonian_generic()
         lam = 0.5 + 0.2j

@@ -5,7 +5,8 @@ U (result) U^dag of the unrotated system: the same pointer, rates,
 trajectory and uniton verdict up to the change of basis.  Every input form
 reaches the same canonical form, so this holds for non-normal l with
 distinct eigenvalues as well.  Scaling H by a and c by sqrt(a) scales the
-generator by a and changes nothing else.
+generator by a and changes nothing else; moving a factor from c into l
+changes nothing at all.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from fgkls.generator import build_generator
 from fgkls.evolution import solve_ivp, trajectory
 from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec
 from fgkls.oracle import IntegratorConfig, integrate
+from fgkls.perturb import pointer_series, weak_rates
 from fgkls.pointer import (
     FullFamily,
     LineFamily,
@@ -170,6 +172,45 @@ def test_scaling_h_and_c_squared_together_only_rescales_time(seed, form, log_alp
     ptr, ptr_scaled = compute_pointer(spec), compute_pointer(scaled)
     assert type(ptr_scaled) is type(ptr) and ptr_scaled.label == ptr.label
     assert np.max(np.abs(representative(ptr_scaled) - representative(ptr))) <= 1e-9
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    form=st.sampled_from(["diagonal", "jordan", "general"]),
+    log_beta=st.floats(-12.0, 12.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_moving_scale_from_c_to_l_changes_nothing(seed, form, log_beta):
+    """(c, l) -> (c / b, b l) keeps L = c l: the structure, the stability
+    verdict, the pointer and the rates stay, while the weak-coupling
+    coefficients of c^(2k) scale by b^(2k)."""
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, form, c_range=(0.3, 2.0))
+    beta = 10.0**log_beta
+    scaled = SystemSpec(spec.hamiltonian, GeneralL(beta * spec.lindblad.small_l(), spec.c / beta))
+    if form == "diagonal":
+        lind = DiagonalL(beta * spec.lindblad.lambda1, beta * spec.lindblad.lambda2, spec.c / beta)
+        scaled = SystemSpec(spec.hamiltonian, lind)
+    md, md_scaled = spectrum(spec), spectrum(scaled)
+    assert md_scaled.structure is md.structure
+    assert assert_stability(md_scaled, scaled) is assert_stability(md, spec)
+    want = rates(spec)
+    assert max_rate_mismatch(rates(scaled), want) <= 1e-9 * max(map(abs, want))
+
+    ptr, ptr_scaled = compute_pointer(spec), compute_pointer(scaled)
+    assert type(ptr_scaled) is type(ptr) and ptr_scaled.label == ptr.label
+    assert np.max(np.abs(representative(ptr_scaled) - representative(ptr))) <= 1e-9
+
+    series, series_scaled = weak_rates(spec), weak_rates(scaled)
+    top = max(abs(a1) for _, a1 in series.branches)
+    for (a0, a1), (b0, b1) in zip(series.branches, series_scaled.branches):
+        assert b0 == a0
+        assert abs(b1 / beta**2 - a1) <= 1e-12 * top
+    if isinstance(ptr, UniquePointer):
+        terms, terms_scaled = pointer_series(spec, 6), pointer_series(scaled, 6)
+        for k, (rho, rho_scaled) in enumerate(zip(terms, terms_scaled)):
+            size = max(1.0, float(np.max(np.abs(rho))))
+            assert np.max(np.abs(rho_scaled / beta ** (2 * k) - rho)) <= 1e-12 * size
 
 
 @given(seed=st.integers(0, 2**32 - 1), log_alpha=st.floats(-12.0, 12.0))

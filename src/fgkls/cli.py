@@ -167,17 +167,10 @@ def parse_time_grid(doc, path: str = "$.time_grid") -> np.ndarray:
 def _pointer_payload(result) -> dict:
     if isinstance(result, UniquePointer):
         return {"case": result.label, "variant": "Unique", "rho": matrix_out(result.rho)}
-    if isinstance(result, DiagonalFamily):
+    if isinstance(result, (DiagonalFamily, FullFamily)):
         return {
             "case": result.label,
-            "variant": "DiagonalFamily",
-            "base": matrix_out(result.base),
-            "directions": [matrix_out(d) for d in result.directions],
-        }
-    if isinstance(result, FullFamily):
-        return {
-            "case": result.label,
-            "variant": "FullFamily",
+            "variant": type(result).__name__,
             "base": matrix_out(result.base),
             "directions": [matrix_out(d) for d in result.directions],
         }
@@ -198,6 +191,9 @@ def _spectrum_payload(spec: SystemSpec) -> dict:
     md = spectral.spectrum(spec)
     verdict = spectral.assert_stability(md, spec)
     p2, p1, p0 = md.cubic
+    # Its roots are then finite too: |real root| <= |p2| and |z|^2 <= |p1|.
+    if not all(math.isfinite(abs(p)) for p in md.cubic):
+        raise ContractError("the cubic in s = rate / c^2 leaves the float range")
     return {
         "structure": md.structure.value,
         "stability": verdict.value,
@@ -375,12 +371,8 @@ def run(job: dict, out_override: str | None = None, seed: int | None = None) -> 
     if "time_grid" in job:
         ts = parse_time_grid(job["time_grid"])
     elif command in ("evolve", "positivity", "oracle-check"):
-        c2 = spec.c**2
-        if c2 > 0:
-            # Accept the system before its c sets the span: canonicalize
-            # raises ContractError for a c'^2 that is not a normal float.
-            spec.canonical
-        ts = np.linspace(0.0, 10.0 / c2 if c2 > 0 else 10.0, 400)
+        # rate_unit refuses a c^2 that is not a normal float before it sets the span.
+        ts = np.linspace(0.0, 10.0 / spectral.rate_unit(spec.c), 400)
 
     if command == "evolve":
         sol = evolution.solve_ivp(spec, rho0)

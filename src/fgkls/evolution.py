@@ -21,7 +21,7 @@ from .errors import NotReducibleError
 from .model import SystemSpec, as_density, coords_from_frame, dagger2, det2
 from .numerics import scalar_norm
 from .pointer import compute_pointer, representative
-from .spectral import ModeDecomposition, generator_rows, spectrum
+from .spectral import ModeDecomposition, generator_rows, rate_unit, spectrum
 
 # The nodes are ``spectrum``'s rates, which solve M's cubic to rounding: the
 # coefficients of prod (s - r) are within 64 eps R^k of it, R = max |r|
@@ -174,21 +174,20 @@ def single_mode_reduction(sol: AnalyticSolution) -> SingleModeReduction:
     The state is single-mode at a real decaying rate r exactly when (M - r) d0
     vanishes, or M (M - r) d0 when 0 is a root; the pointer then absorbs the
     zero-mode part -(M - r) d0 / r.  Both are read off the Newton vectors,
-    M d0 = w1 + r1 d0 and M w1 = w2 + r2 w1, and rates are judged on
-    ``spectrum``'s damping scale.  Raises ``NotReducibleError`` when no such
-    rate carries the whole deviation.
+    M d0 = w1 + r1 d0 and M w1 = w2 + r2 w1; ``spectrum`` gives a zero mode
+    the rate 0 exactly and every other real rate a negative one.  Raises
+    ``NotReducibleError`` when no such rate carries the whole deviation.
     """
-    md = sol.modes
-    scale = sol.spec.c**2 if md.scaled else 1.0
+    scale = rate_unit(sol.spec.c)
     r1, r2, _ = sol.nodes
     _, d0, w1, w2 = sol.terms.tolist()
     md0 = [w + r1 * d for w, d in zip(w1, d0)]
     radius = max(map(abs, sol.nodes))
     bound = REDUCTION_TOL * max(1.0, scalar_norm(d0))
     real = [r.real for r in sol.nodes if r.imag == 0.0]
-    has_zero = any(abs(r) <= md.zero_tol for r in real)
+    has_zero = 0.0 in real
 
-    for rate in dict.fromkeys(r for r in real if r < -md.zero_tol):
+    for rate in dict.fromkeys(r for r in real if r < 0.0):
         x = [a - rate * d for a, d in zip(md0, d0)]
         # With a zero root, M (M - rate) d0 = w2 + r2 w1 + (r1 - rate) M d0 must vanish.
         y = [a + r2 * b + (r1 - rate) * e for a, b, e in zip(w2, w1, md0)] if has_zero else x

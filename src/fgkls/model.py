@@ -25,9 +25,10 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 HERMITICITY_ATOL = 1e-14
 EPS = sys.float_info.epsilon
-# Rounding level of the shape decisions on a general l, relative to its
-# largest entry (see ``_general_shape``), and of a vanishing level splitting
-# of H in the weak-coupling series.
+# Rounding level of the shape decisions on the inputs, relative to the
+# largest entry: whether a general l is normal or scalar (``_general_shape``),
+# whether H is degenerate (``Hamiltonian.splitting``), whether H is diagonal
+# in the frame of a normal l, and whether H commutes with a uniton candidate.
 SHAPE_RTOL = 64 * EPS
 # The closed forms take up to the sixth power of H' / c'^2 (the cubic's
 # discriminant), so its entries must stay below the sixth root of the
@@ -84,6 +85,14 @@ class Hamiltonian:
         """Level splitting eps_11 - eps_22."""
         (e11, _), (_, e22) = self.entries
         return e11.real - e22.real
+
+    @property
+    def splitting(self) -> float:
+        """E1 - E2 >= 0, and exactly 0 where H is degenerate: its traceless
+        part is below SHAPE_RTOL of its largest entry."""
+        (h00, h01), (_, h11) = self.entries
+        split = math.hypot(h00.real - h11.real, 2.0 * abs(h01))
+        return split if split > SHAPE_RTOL * max(abs(h00), abs(h01), abs(h11)) else 0.0
 
     @classmethod
     def diagonal(cls, e1: float, e2: float) -> "Hamiltonian":
@@ -199,7 +208,9 @@ class Canonical:
     H' / c'^2 and ``err`` a bound on the rounding of the latter, which is
     eps times the size of the terms they were formed from.  ``basis`` holds
     the entries ((u00, u01), (u10, u11)) of U as Python scalars
-    (rho' = U^dag rho U), or None for U = I.
+    (rho' = U^dag rho U), or None for U = I.  Like x and t, ``gap`` and
+    ``h01`` are exactly 0 where the shape of H makes them so: both where H
+    is degenerate, h01 where l is normal and H diagonal in its frame.
     """
 
     c: float
@@ -211,6 +222,18 @@ class Canonical:
     scaled: tuple[float, complex]
     basis: Entries2 | None
     err: float
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether H is a multiple of I (``Hamiltonian.splitting``)."""
+        return self.gap == 0.0 and self.h01 == 0
+
+    @property
+    def zero_mode(self) -> bool:
+        """Whether the generator has a zero rate, and so a family of
+        stationary states: its cubic's p0, a sum of squares, vanishes exactly
+        when t = 0 and (x = 0 or h01 = 0)."""
+        return self.t == 0.0 and (self.x == 0.0 or self.h01 == 0)
 
 
 def coords_from_frame(v, u: Entries2) -> tuple[complex, complex, complex]:
@@ -306,14 +329,23 @@ def canonicalize(spec: SystemSpec) -> Canonical:
     (h00, h01), (_, h11) = spec.hamiltonian.entries
     gap, basis = h00.real - h11.real, None
     # The gap and h01 round at their own size, or in a rotated frame at the
-    # size of the whole of H.
+    # size of the whole of H; set to exact zeros, they do not round.
     hsize = math.hypot(gap, abs(h01))
+    # H's entries are known to SHAPE_RTOL of the largest, as in ``splitting``.
+    hround = SHAPE_RTOL * max(abs(h00), abs(h01), abs(h11))
     if vec is not None or turn != 1.0:
         p, q = vec or (1 + 0j, 0j)
         basis = ((p, -q.conjugate() * turn), (q, p.conjugate() * turn))
         hsize = math.hypot(h00.real, h11.real, abs(h01), abs(h01))
         x0, h01, _ = coords_from_frame((0.5 * gap, h01, h01.conjugate()), dagger2(basis))
         gap = 2.0 * x0.real
+        # The frame, decided on l0 to SHAPE_RTOL lmax (a share lsize of l0),
+        # moves h01 by that share of H.
+        hround *= 1.0 + lsize
+    if not spec.hamiltonian.splitting:
+        gap, h01, hsize = 0.0, 0j, 0.0
+    elif t == 0.0 and abs(h01) <= hround:
+        h01 = 0j
     c2 = c_new * c_new
     if not sys.float_info.min <= c2 < math.inf:
         raise ContractError(f"c'^2 = {c2!r} is not a normal float")

@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import InputError
 
-# The eigenvectors of a multiple rate and the negligible parts of a pointer are
-# decided to COINCIDENCE_RTOL of their scale.
-COINCIDENCE_RTOL = 1e-8
 # solve3 treats the matrix as singular when |det M| < RANK_RTOL * ||M||^3.
 RANK_RTOL = 1e-10
 

@@ -13,9 +13,8 @@ import numpy as np
 
 from .errors import ContractError
 from .generator import affine_rows, dissipator_part, hamiltonian_part
-from .model import SHAPE_RTOL, Hamiltonian, SystemSpec
+from .model import Hamiltonian, SystemSpec
 from .numerics import unit_scaled
-from .pointer import UniquePointer, compute_pointer
 from .spectral import spectrum
 
 SMALL_C_GRID = (0.2, 0.1, 0.05)
@@ -57,15 +56,12 @@ def _det_poly(rows0, rows1) -> list[complex]:
 def _split(spec: SystemSpec):
     """(M0, b0, M1, b1, w, dE, probe): the generator, exactly M = M0 + eps M1
     and b = b0 + eps b1 in eps = w c^2, the closed system's frequency dE (0
-    to the rounding of H) and the coupling l at c = 1 / sqrt(w), the power of
+    where H is degenerate) and the coupling l at c = 1 / sqrt(w), the power of
     two that brings c l to unit size: no coefficient in eps over- or underflows."""
     scale, l = unit_scaled(spec.lindblad.small_l())
-    (h00, h01), (_, h11) = spec.hamiltonian.entries
-    de = math.hypot(h00.real - h11.real, 2.0 * abs(h01))
-    if de <= SHAPE_RTOL * max(abs(h00), abs(h01), abs(h11)):
-        de = 0.0
     m0, b0 = affine_rows(hamiltonian_part(spec.hamiltonian.entries))
     probe = lambda: replace(spec.lindblad, c=1.0 / scale)
+    de = spec.hamiltonian.splitting
     return m0, b0, *affine_rows(dissipator_part(l.tolist(), 1.0)), scale * scale, de, probe
 
 
@@ -93,7 +89,7 @@ def pointer_series(spec: SystemSpec, order: int) -> np.ndarray:
     if not isinstance(order, int) or order < 0 or order % 2:
         raise ContractError(f"order must be an even integer >= 0, not {order!r}")
     m0, b0, m1, b1, w, de, probe = _split(spec)
-    if not isinstance(compute_pointer(SystemSpec(spec.hamiltonian, probe())), UniquePointer):
+    if SystemSpec(spec.hamiltonian, probe()).canonical.zero_mode:
         raise ContractError("weak-coupling pointer series needs a unique pointer")
     zeros = 1 if de else 3
     den = _det_poly(m0, m1)[zeros:]

@@ -4,7 +4,8 @@ Every system is solved in its canonical form (H', c', x, t) and mapped
 back through the frame U.  The stationary set of the affine flow on
 (f11, f12, f21) is then
 
-* for t = 0 (diagonal l), split four ways on eps_21 and x,
+* for t = 0 (diagonal l), unique where there is no zero mode
+  (``Canonical.zero_mode``), and else a family split on h01, x and H,
 * for t > 0, one closed-form pointer: a non-normal l and its adjoint
   generate all 2x2 matrices, so the stationary state is unique (Spohn,
   Lett. Math. Phys. 2, 1977); x = 0 is the Jordan shape.
@@ -22,7 +23,6 @@ import numpy as np
 
 from .generator import rhs
 from .model import Canonical, Entries2, SystemSpec, det2, hermitian_from_frame
-from .numerics import COINCIDENCE_RTOL
 
 _IDENTITY_HALF = np.eye(2, dtype=complex) / 2.0
 
@@ -119,11 +119,6 @@ class NoAttractor:
 PointerResult = UniquePointer | DiagonalFamily | FullFamily | LineFamily | NoAttractor
 
 
-def _is_negligible(value: complex, hscale: float) -> bool:
-    """Relative to ||H||, so that scaling H and c^2 together keeps it."""
-    return abs(value) <= COINCIDENCE_RTOL * hscale
-
-
 def _from_frame_pointer(result: PointerResult, basis: Entries2) -> PointerResult:
     """Map a canonical-frame result back to the caller's frame.  The diagonal
     family is diagonal only in the canonical frame; elsewhere it is a line."""
@@ -142,39 +137,12 @@ def _from_frame_pointer(result: PointerResult, basis: Entries2) -> PointerResult
     return result
 
 
-def canonical_pointer(
-    canon: Canonical, gap: float, h01: complex, scaled: tuple[float, complex], hscale: float
-) -> PointerResult:
-    """Pointer of a canonical system in its own frame, on Python scalars.
-
-    ``gap`` and ``h01`` are those of the Hamiltonian without the gauge term,
-    ``scaled`` those of H' / c'^2 and ``hscale`` the norm of H: the t = 0
-    split reads the former, the t > 0 pointer the latter.
-    """
+def stationary_state(canon: Canonical, scaled: tuple[float, complex]) -> np.ndarray:
+    """Stationary state of the canonical (x, t > 0) with H' / c'^2 = scaled,
+    in its frame: f11 = n1 / (n1 + n2), f22 = n2 / (n1 + n2) with
+    n1 + n2 = 2 p0 (the cubic's constant term), every sum free of
+    cancellation."""
     x, t = canon.x, canon.t
-    if t == 0.0:
-        eps21_zero = _is_negligible(h01, hscale)
-        if not eps21_zero and x != 0.0:
-            return UniquePointer(_IDENTITY_HALF.copy(), label="maximally mixed")
-        if eps21_zero:
-            # The coherences decay at 2 x^2 + i gap / c^2: nothing decays
-            # when l is scalar and H degenerate.
-            if x == 0.0 and _is_negligible(gap, hscale):
-                return FullFamily.whole_state_space()
-            return DiagonalFamily()
-        # Scalar L with eps21 != 0: the dissipator vanishes, and the states
-        # commuting with H form a line along the traceless part of H.
-        half_gap = 0.5 * gap
-        norm = math.hypot(half_gap, half_gap, abs(h01), abs(h01))
-        return LineFamily(
-            base=_IDENTITY_HALF.copy(),
-            direction=np.array(
-                [[half_gap / norm, h01 / norm], [h01.conjugate() / norm, -half_gap / norm]]
-            ),
-        )
-    # The stationary point of the canonical generator, with n1 + n2 = 2 p0
-    # (p0 the cubic's constant term) and every sum free of cancellation:
-    # f11 = n1 / (n1 + n2), f22 = n2 / (n1 + n2).
     g, h = scaled
     re, im = h.real, h.imag
     xt, t2 = x * t, t * t
@@ -189,10 +157,34 @@ def canonical_pointer(
     total = n1 + n2
     diff = a * t2 * t2 + 2.0 * t2 * g * g - 8.0 * xt * (a * im + g * re)
     f12 = (1j * h * diff - 0.5 * xt * (n1 + 3.0 * n2)) / ((a + 1j * g) * total)
-    rho = np.array([[n1 / total, f12], [f12.conjugate(), n2 / total]], dtype=complex)
+    return np.array([[n1 / total, f12], [f12.conjugate(), n2 / total]], dtype=complex)
+
+
+def canonical_pointer(canon: Canonical) -> PointerResult:
+    """Pointer of a canonical system in its own frame, on Python scalars."""
+    x, t = canon.x, canon.t
+    if t == 0.0:
+        if not canon.zero_mode:
+            return UniquePointer(_IDENTITY_HALF.copy(), label="maximally mixed")
+        gap, h01 = canon.gap, canon.h01
+        if h01 != 0:
+            # Scalar L with eps21 != 0: the dissipator vanishes, and the states
+            # commuting with H form a line along the traceless part of H.
+            half_gap = 0.5 * gap
+            norm = math.hypot(half_gap, half_gap, abs(h01), abs(h01))
+            return LineFamily(
+                base=_IDENTITY_HALF.copy(),
+                direction=np.array(
+                    [[half_gap / norm, h01 / norm], [h01.conjugate() / norm, -half_gap / norm]]
+                ),
+            )
+        # The coherences decay at 2 x^2 + i gap / c^2: nothing decays when l
+        # is scalar and H degenerate.
+        return FullFamily.whole_state_space() if x == 0.0 and canon.degenerate else DiagonalFamily()
+    rho = stationary_state(canon, canon.scaled)
     if x != 0.0:
         return UniquePointer(rho, label="non-normal unique")
-    if _is_negligible(h01, hscale) and _is_negligible(gap, hscale):
+    if canon.degenerate:
         return UniquePointer(rho, label="degenerate-H Jordan")
     return UniquePointer(rho, label="Jordan unique")
 
@@ -203,9 +195,7 @@ def compute_pointer(spec: SystemSpec) -> PointerResult:
     if spec.c == 0.0:
         return NoAttractor("closed system (c = 0): Liouville evolution has no attractor")
     canon = spec.canonical
-    (h00, h01), (h10, h11) = spec.hamiltonian.entries
-    hscale = math.hypot(h00.real, h11.real, h01.real, h01.imag, h10.real, h10.imag)
-    result = canonical_pointer(canon, canon.gap, canon.h01, canon.scaled, hscale)
+    result = canonical_pointer(canon)
     return result if canon.basis is None else _from_frame_pointer(result, canon.basis)
 
 

@@ -8,7 +8,11 @@ coincide (the measure-zero branches that turn exponentials into
 exponentials times polynomials) is decided for every shape from the
 cubic's coefficients, in its depressed form, against a bound on their
 rounding; that test is well-conditioned even though the roots themselves
-are not.  A closed system (c = 0) has the exact roots 0 and +/- i (E1 - E2).
+are not.  Where the dissipator vanishes (c = 0, or a scalar l) the roots are
+exactly 0 and +/- i (E1 - E2).  The labels are read from the canonical
+parameters (``Canonical.zero_mode``), not from computed rates; as
+p1 p2 - p0 > 0 for every non-scalar l (Routh-Hurwitz), only a vanishing
+dissipator leaves an undamped oscillation.
 
 The generator is an arrowhead matrix, rows [m10, m11, 0] and [conj m10, 0,
 conj m11] below the first, and its modes are closed forms on Python scalars:
@@ -29,7 +33,7 @@ import numpy as np
 from .errors import ContractError, InternalError
 from .generator import build_generator
 from .model import EPS, Canonical, Entries2, SystemSpec, coords_from_frame, dagger_coords, direction_matrix
-from .numerics import COINCIDENCE_RTOL, cubic_roots, unit_scaled
+from .numerics import cubic_roots, unit_scaled
 
 # A coinciding-root condition is an exact equality between the coefficients
 # of the depressed cubic and those of a cubic with a multiple root.  It is
@@ -83,7 +87,6 @@ class ModeDecomposition:
     structure: SpectrumStructure
     cubic: tuple[complex, complex, complex]
     scaled: bool  # True when the cubic variable is s = rate / c^2
-    zero_tol: float  # |Re rate| up to this is undamped: the structure's damping scale
 
     def s_roots(self, c: float) -> list[tuple[complex, int]]:
         """Root list in the rescaled variable (identity when c == 0)."""
@@ -95,21 +98,18 @@ def _canonical_cubic(canon: Canonical) -> tuple[float, float, float]:
     """Monic characteristic cubic of the canonical generator in s = rate / c'^2.
 
     With a = 2 x^2 + t^2 / 2 the coherence damping and (g, h) the gap and
-    (0, 1) entry of H' / c'^2, the constant term is a sum of squares.
+    (0, 1) entry of H' / c'^2, the constant term is a sum of squares.  The
+    literals are integers and the halving a division, so that rational
+    (x, t, g, h) give the exact cubic.
     """
     x, t = canon.x, canon.t
     g, h = canon.scaled
     re, im = h.real, h.imag
     x2, t2, h2 = x * x, t * t, re * re + im * im
-    a = 2.0 * x2 + 0.5 * t2
-    p1 = a * a + g * g + 4.0 * h2 + t2 * t2 + 3.0 * x2 * t2
-    p0 = (
-        a * t2 * (x2 + 0.5 * t2)
-        + (t * g - 2.0 * x * re) ** 2
-        + 4.0 * x2 * (re * re + 2.0 * im * im)
-        + 2.0 * t2 * h2
-    )
-    return 4.0 * x2 + 2.0 * t2, p1, p0
+    a = 2 * x2 + t2 / 2
+    p1 = a * a + g * g + 4 * h2 + t2 * t2 + 3 * x2 * t2
+    p0 = a * t2 * (x2 + t2 / 2) + (t * g - 2 * x * re) ** 2 + 4 * x2 * (re * re + 2 * im * im) + 2 * t2 * h2
+    return 4 * x2 + 2 * t2, p1, p0
 
 
 def _scaled_rows(canon: Canonical) -> list[list[complex]]:
@@ -137,12 +137,11 @@ def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
     """
     c = spec.c
     if c == 0:
-        # A closed system's rates are 0 and +/- i (E1 - E2), with
-        # (E1 - E2)^2 = gap^2 + 4 |h01|^2 in any frame; the exact cubic keeps
-        # their real parts exactly zero, where a numeric one would leave
-        # rounding of order eps |H| for assert_stability to read as growth.
-        (_, h01), _ = spec.hamiltonian.entries
-        return (0j, complex(spec.hamiltonian.gap**2 + 4.0 * abs(h01) ** 2), 0j)
+        # A closed system's rates are 0 and +/- i (E1 - E2); the exact cubic
+        # keeps their real parts exactly zero, where a numeric one would
+        # leave rounding of order eps |H| for assert_stability to read as
+        # growth.
+        return (0j, complex(spec.hamiltonian.splitting**2), 0j)
     canon = spec.canonical
     # The rates are frame-invariant, but s' = rate / c'^2 = s / k.
     k = (canon.c / c) ** 2
@@ -200,6 +199,10 @@ def _canonical_roots(canon: Canonical, a: float, b: float, c: float) -> list[tup
     asks q to be 2 u^3.  Both roots are closed forms, exact on their
     manifold.  Elsewhere the roots are those of ``cubic_roots``, each
     simple.
+
+    A real root near 0 is taken from the product of the roots, -c, and
+    keeps its sign: as every real root lies in [-a, 0] and b >= 1 / 4 for a
+    non-scalar l, the other two are well apart from it.
     """
     p, q, dp, dq = _depressed(canon, a, b, c)
     # + 0.0 makes a zero root +0.0 where a = 0.
@@ -208,8 +211,14 @@ def _canonical_roots(canon: Canonical, a: float, b: float, c: float) -> list[tup
         return [(complex(center), 3)]
     u = math.copysign(math.sqrt(max(-p / 3.0, 0.0)), q)
     if _near(p, -3.0 * u * u, dp) and _near(q, 2.0 * u**3, dq + abs(u) * dp):
-        return [(complex(center + u), 2), (complex(center - 2.0 * u), 1)]
-    return [(s, 1) for s in cubic_roots(a, b, c)]
+        double = center + u
+        return [(complex(double), 2), (complex(-c / (double * double) + 0.0), 1)]
+    roots = cubic_roots(a, b, c)
+    r1, r2, r3 = roots
+    if not r2.imag and 2.0 * abs(r3) < abs(r2):
+        # Three real roots, sorted, of which r3 is nearest 0.
+        roots[2] = complex(-(c / r1.real) / r2.real + 0.0)
+    return [(s, 1) for s in roots]
 
 
 _R = math.sqrt(0.5)
@@ -289,17 +298,14 @@ def _chain_link(b, v, cross) -> list[complex]:
     return [vi * p + vj * q for p, q in zip(_cross(b[j], border), _cross(border, b[i]))]
 
 
-def _semisimple_chains(b, mult: int, tol: float) -> list[list[list[complex]]]:
-    """Chains of a multiple real root at which B = M - rate has rank at most
-    one: Hermitian null vectors, and for a triple root of rank one a chain
-    of two (range(B) lies in null(B)) plus one null vector.
+def _semisimple_chains(b, mult: int) -> list[list[list[complex]]]:
+    """Chains of a multiple real root at which B = M - rate has rank one:
+    Hermitian null vectors, and for a triple root a chain of two (range(B)
+    lies in null(B)) plus one null vector.
 
     With row the largest row of B, row x w is a null vector orthogonal to
     the mirror (w0, w2, w1), which for a Hermitian w is its conjugate."""
     row = max(b, key=_norm2)
-    if _norm2(row) <= tol * tol:
-        # B = 0: every direction is a mode.
-        return [[list(v)] for v in _HERMITIAN_BASIS[:mult]]
 
     def null_orthogonal_to(w):
         return _symmetrize_real(_cross(row, (w[0], w[2], w[1])))
@@ -314,18 +320,19 @@ def _semisimple_chains(b, mult: int, tol: float) -> list[list[list[complex]]]:
     return [[head, _hermitian(link)], [null_orthogonal_to(head)]]
 
 
-def _real_root_chains(b, mult: int, tol: float) -> list[list[list[complex]]]:
-    """Jordan chains of a real root from the rows of B = M - rate.
+def _rank_one(canon: Canonical) -> bool:
+    """Whether B = M - s has rank one at a multiple real root s of the
+    canonical generator: where m11 = s is real (g = 0) and m10 or m01
+    vanishes (h = i x t / 2 or -i x t / 2), to the rounding of g and h."""
+    g, h = canon.scaled
+    half = 0.5j * canon.x * canon.t
+    return _near(g, 0.0, canon.err) and (_near(h, half, canon.err) or _near(h, -half, canon.err))
 
-    B has rank one only where m10 or m01 vanishes and m11 = rate is real;
-    at a multiple root this is decided to tol, the precision of its
-    multiplicity.  Otherwise B has rank two and the root one chain, whose
-    head is Hermitian and whose links are made so: M commutes with the
-    adjoint and the minimum-norm link is unique.
-    """
-    (_, m01, _), (m10, m11, _), _ = b
-    if mult > 1 and min(abs(m10), abs(m01)) <= tol and abs(m11.imag) <= tol:
-        return _semisimple_chains(b, mult, tol)
+
+def _real_root_chains(b, mult: int) -> list[list[list[complex]]]:
+    """The Jordan chain of a real root from the rows of B = M - rate of rank
+    two (see ``_rank_one``): its head is Hermitian and its links are made
+    so, as M commutes with the adjoint and the minimum-norm link is unique."""
     cross = _largest_cross(b)
     chain = [_symmetrize_real(cross[2])]
     for _ in range(mult - 1):
@@ -351,6 +358,14 @@ def _minus_rate(m: list[list[complex]], rate: complex) -> list[list[complex]]:
     return [[m00 - rate, m01, m02], [m10, m11 - rate, m12], [m20, m21, m22 - rate]]
 
 
+def rate_unit(c: float) -> float:
+    """c^2, the unit of the rates in s (1 for c = 0); ``ContractError``
+    where it is not a normal float."""
+    if c and not sys.float_info.min <= c * c < math.inf:
+        raise ContractError(f"c^2 = {c * c!r} is not a normal float")
+    return c * c or 1.0
+
+
 def spectrum(spec: SystemSpec) -> ModeDecomposition:
     """Roots, Jordan chains and structure of the homogeneous generator, on
     Python scalars: in the canonical frame for c > 0, in the caller's for
@@ -358,26 +373,22 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
 
     Modes are extracted from the rows of M / w of ``generator_rows``; the
     j-th link of a chain is scaled back by w^-j.  Raises ``ContractError``
-    when c^2, the unit of the rates in s, is not a normal float.
+    when c^2 is not a normal float (``rate_unit``).
     """
     c = spec.c
-    if c > 0 and not sys.float_info.min <= c * c < math.inf:
-        raise ContractError(f"c^2 = {c * c!r} is not a normal float")
+    rate_unit(c)
     rows, frame, unit = generator_rows(spec)
-    if c > 0:
-        p2, p1, p0 = _canonical_cubic(spec.canonical)
-        s_roots = _canonical_roots(spec.canonical, p2, p1, p0)
-    else:
-        # The roots of the closed cubic s (s^2 + (E1 - E2)^2) of
-        # ``char_cubic``, with E1 - E2 taken by hypot: no square under- or
-        # overflows.
-        (_, h01), _ = spec.hamiltonian.entries
-        e12 = math.hypot(spec.hamiltonian.gap, 2.0 * abs(h01))
-        s_roots = [(complex(0.0, -e12), 1), (0j, 1), (complex(0.0, e12), 1)] if e12 else [(0j, 3)]
+    canon = spec.canonical if c > 0 else None
     scale = unit if c > 0 else 1.0
     ratio = scale / unit  # from s to the units of rows
-
-    ztol = 1e-10 * max(abs(s) for s, _ in s_roots)
+    if canon is not None and (canon.x or canon.t):
+        s_roots = _canonical_roots(canon, *_canonical_cubic(canon))
+        freq = None
+    else:
+        # No dissipation (c = 0 or a scalar l): the rates are exactly 0 and
+        # +/- i (E1 - E2), which is 0 where H is degenerate.
+        freq = spec.hamiltonian.splitting / scale
+        s_roots = [(complex(0.0, -freq), 1), (0j, 1), (complex(0.0, freq), 1)] if freq else [(0j, 3)]
 
     # Chain vectors map as the traceless matrices they stand for, so they
     # stay Jordan chains of the caller's generator.
@@ -385,12 +396,14 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
     modes: list[Mode] = []
     for s, mult in s_roots:
         rate = s * scale
-        if abs(s.imag) <= ztol:
+        if mult == 3 and freq == 0.0:
+            # M = 0: every direction is a mode.
+            modes += [Mode(rate, (back(v),)) for v in _HERMITIAN_BASIS]
+        elif s.imag == 0.0:
             rate = complex(rate.real)
-            # The eigenvectors of a multiple root are counted to
-            # COINCIDENCE_RTOL of the root scale.
-            tol = COINCIDENCE_RTOL * max(scale, abs(rate)) / unit
-            for chain in _real_root_chains(_minus_rate(rows, s.real * ratio), mult, tol):
+            b = _minus_rate(rows, s.real * ratio)
+            rank_one = mult > 1 and _rank_one(canon)
+            for chain in _semisimple_chains(b, mult) if rank_one else _real_root_chains(b, mult):
                 for j in range(1, len(chain)):
                     chain[j] = [x / unit**j for x in chain[j]]
                 modes.append(Mode(rate, tuple(map(back, chain))))
@@ -404,36 +417,30 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
         raise InternalError("mode chains do not span three dimensions")
 
     # Structure reflects algebraic multiplicity: a diagonalizable double root
-    # is still DoubleRoot even though it carries two simple modes.  Real
-    # parts are compared with the damping scale -p2 = sum Re s, which the
-    # roots keep to full relative precision however large their imaginary
-    # parts; bare rates (c = 0) have no damping scale.
-    dtol = 1e-10 * max(1.0, abs(p2)) if c > 0 else ztol
+    # is still DoubleRoot even though it carries two simple modes.
     top = max(mult for _, mult in s_roots)
-    # For each root without damping: whether it oscillates.
-    undamped = [abs(s.imag) > ztol for s, _ in s_roots if abs(s.real) <= dtol]
-    if any(undamped):
+    if freq:
         structure = SpectrumStructure.OSCILLATORY_UNDAMPED
-    elif undamped:
+    elif freq is not None or canon.zero_mode:
         structure = SpectrumStructure.ZERO_MODE
     elif top == 3:
         structure = SpectrumStructure.TRIPLE_ROOT
     elif top == 2:
         structure = SpectrumStructure.DOUBLE_ROOT
-    elif any(abs(s.imag) > ztol for s, _ in s_roots):
+    elif any(s.imag for s, _ in s_roots):
         structure = SpectrumStructure.COMPLEX_PAIR_PLUS_REAL
     else:
         structure = SpectrumStructure.DISTINCT
 
-    return ModeDecomposition(tuple(modes), structure, char_cubic(spec), c > 0, dtol * scale)
+    return ModeDecomposition(tuple(modes), structure, char_cubic(spec), c > 0)
 
 
 def assert_stability(md: ModeDecomposition, spec: SystemSpec) -> StabilityVerdict:
-    """Classify the decay-rate signs: all strictly damped, a zero mode, or
-    undamped oscillation, as ``md.structure`` does on its damping scale.  A
-    rate with positive real part is impossible for this flow and raises."""
+    """Classify the decay-rate signs as ``md.structure`` does: all strictly
+    damped, a zero mode, or undamped oscillation.  A zero rate is exact and
+    other real parts negative, so a positive real part raises."""
     for m in md.modes:
-        if m.rate.real > md.zero_tol:
+        if m.rate.real > 0.0:
             raise InternalError(f"growing mode {m.rate!r}: generator cannot expand states")
     if md.structure is SpectrumStructure.OSCILLATORY_UNDAMPED:
         return StabilityVerdict.UNDAMPED

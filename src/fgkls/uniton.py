@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SystemSpec, hermitian_from_frame
+from .model import SHAPE_RTOL, SystemSpec, hermitian_from_frame
 from .numerics import scalar_norm
-from .pointer import DiagonalFamily, FullFamily, canonical_pointer
-
-COMMUTE_RTOL = 1e-10
+from .pointer import stationary_state
 
 _FAMILY_CONSTANT = "family members reduce to constants under unitary evolution"
 
@@ -55,42 +53,30 @@ UnitonVerdict = AllStates | StationaryPointerOnly | NoUnitons
 
 def classify_unitons(spec: SystemSpec) -> UnitonVerdict:
     """Full case analysis of the uniton conditions for one system."""
-    if spec.c == 0.0:
+    # With c = 0 or a scalar l the dissipator vanishes identically.
+    if spec.c == 0.0 or not (spec.canonical.x or spec.canonical.t):
         return AllStates()
     canon = spec.canonical
-    kernel = canonical_pointer(canon, 0.0, 0j, canon.gauge, 0.0)
-    if isinstance(kernel, FullFamily):
-        return AllStates()
     basis = canon.basis
 
     def back(m) -> np.ndarray:
         return np.array(m, dtype=complex) if basis is None else hermitian_from_frame(m, basis)
 
-    if isinstance(kernel, DiagonalFamily):
+    if canon.t == 0.0:
         # The dissipator of a diagonal l kills the diagonal matrices and
         # scales the coherences.
         candidate, direction = ((1.0, 0.0), (0.0, 0.0)), ((-1.0, 0.0), (0.0, 1.0))
         return NoUnitons(reason=_FAMILY_CONSTANT, candidate=back(candidate), family=(back(direction),))
-    # t > 0: one dissipation-free state, positive as a pointer is.
-    rho = kernel.rho if basis is None else back(kernel.rho.tolist())
-    return _single_candidate_verdict(spec.hamiltonian.entries, rho.tolist())
-
-
-def _single_candidate_verdict(h, base) -> UnitonVerdict:
-    """Verdict for a one-dimensional kernel spanned by the state base, from
-    the entries ((x11, x12), (x21, x22)) of H and of the base, on Python
-    scalars."""
-    (h00, h01), (h10, h11) = h
-    (b00, b01), (b10, b11) = base
-    hscale = max(1.0, scalar_norm((h00, h01, h10, h11)))
-    # [H, base]: its diagonal entries are opposite.
+    # t > 0: one dissipation-free state, the pointer of (H = 0, l).
+    candidate = back(stationary_state(canon, canon.gauge).tolist())
+    (h00, h01), (h10, h11) = spec.hamiltonian.entries
+    (b00, b01), (b10, b11) = candidate.tolist()
+    # [H, candidate], whose diagonal entries are opposite, is decided zero to
+    # the rounding of H's entries, so (a H, l) has the verdict of (H, l).
     c00 = h01 * b10 - b01 * h10
     c01 = b01 * (h00 - h11) - h01 * (b00 - b11)
     c10 = h10 * (b00 - b11) - b10 * (h00 - h11)
-    candidate = np.array(base, dtype=complex)
-    if scalar_norm((c00, c01, c10, c00)) <= COMMUTE_RTOL * hscale:
+    bound = SHAPE_RTOL * scalar_norm((h00, h01, h10, h11)) * scalar_norm((b00, b01, b10, b11))
+    if scalar_norm((c00, c01, c10, c00)) <= bound:
         return StationaryPointerOnly(rho=candidate)
-    return NoUnitons(
-        reason="unique candidate does not commute with the Hamiltonian",
-        candidate=candidate,
-    )
+    return NoUnitons(reason="unique candidate does not commute with the Hamiltonian", candidate=candidate)

@@ -56,6 +56,13 @@ SUBNORMAL_C_SQUARED = {
     "lindblad": {"form": "general", "c": 1e-160, "l": [[1e150, 1e150], [0.0, 2e150]]},
 }
 
+# c^2 is normal, but the cubic in s = rate / c^2 scales by (c' / c)^(2k)
+# with c' / c about 1e150: its p1 and p0 leave the float range.
+HUGE_CUBIC = {
+    "hamiltonian": [[1.0, 0.0], [0.0, -1.0]],
+    "lindblad": {"form": "general", "c": 0.2, "l": [[1e150, 1e150], [0.0, 2e150]]},
+}
+
 
 def write_job(tmp_path, doc, name="job.json"):
     path = tmp_path / name
@@ -540,6 +547,37 @@ class TestErrors:
         if command in ("spectrum", "evolve"):
             assert code == EXIT_CONTRACT
             assert "c^2 = 1e-320 is not a normal float" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["evolve", "positivity", "oracle-check"])
+    def test_default_grid_refuses_a_subnormal_c_squared(self, command, tmp_path, capsys):
+        # The default grid spans 10 / c^2: c^2 is checked before it is built.
+        doc = degenerate_jordan_job(command=command, initial_state=[[0.5, 0.0], [0.0, 0.5]])
+        doc["system"] = SUBNORMAL_C_SQUARED
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_CONTRACT
+        assert "c^2 = 1e-320 is not a normal float" in capsys.readouterr().err
+
+    # oracle-check's RK4 propagator overflows on rates of 1e298 and warns;
+    # what this test checks is the output.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", sorted(JSON_JOBS))
+    def test_no_command_prints_a_non_finite_number(self, command, tmp_path, capsys):
+        def refuse(name):
+            raise ValueError(f"non-finite number {name} in the output")
+
+        doc = degenerate_jordan_job(command=command, initial_state=[[0.5, 0.0], [0.0, 0.5]])
+        doc["system"] = HUGE_CUBIC
+        doc["time_grid"] = {"t_end": 1.0, "points": 3}
+        code = main(["--job", write_job(tmp_path, doc)])
+        captured = capsys.readouterr()
+        if command == "spectrum":
+            assert code == EXIT_CONTRACT
+            assert "leaves the float range" in captured.err
+        assert code in (EXIT_OK, EXIT_CONTRACT)
+        if code == EXIT_OK:
+            json.loads(captured.out, parse_constant=refuse)
+        else:
+            assert captured.out == ""
 
     def test_missing_file(self, tmp_path):
         assert main(["--job", str(tmp_path / "nope.json")]) == EXIT_SCHEMA

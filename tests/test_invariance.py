@@ -31,7 +31,7 @@ from fgkls.pointer import (
     pointer_residual,
     representative,
 )
-from fgkls.sampling import random_complex, random_density, random_spec
+from fgkls.sampling import random_complex, random_density, random_hamiltonian, random_spec
 from fgkls.spectral import SpectrumStructure, assert_stability, char_cubic, spectrum
 from fgkls.uniton import NoUnitons, StationaryPointerOnly, classify_unitons
 from frames import from_frame
@@ -154,7 +154,8 @@ def test_modes_satisfy_the_generator(seed, family, rotated, closed):
 @settings(max_examples=60, deadline=None)
 def test_scaling_h_and_c_squared_together_only_rescales_time(seed, form, log_alpha):
     """(H, c) -> (a H, sqrt(a) c) takes M to a M: the structure, the
-    stability verdict and the pointer stay, and every rate scales by a."""
+    stability verdict, the pointer and the uniton verdict stay, and every
+    rate scales by a."""
     rng = np.random.default_rng(seed)
     spec = random_spec(rng, form, c_range=(0.3, 2.0))
     alpha = 10.0**log_alpha
@@ -172,6 +173,28 @@ def test_scaling_h_and_c_squared_together_only_rescales_time(seed, form, log_alp
     ptr, ptr_scaled = compute_pointer(spec), compute_pointer(scaled)
     assert type(ptr_scaled) is type(ptr) and ptr_scaled.label == ptr.label
     assert np.max(np.abs(representative(ptr_scaled) - representative(ptr))) <= 1e-9
+    assert classify_unitons(scaled).label == classify_unitons(spec).label
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["jordan", "general"]),
+    commuting=st.booleans(),
+    log_alpha=st.floats(-12.0, 12.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_uniton_verdict_does_not_depend_on_the_size_of_h(seed, shape, commuting, log_alpha):
+    """Whether the dissipation-free state commutes with H cannot depend on
+    a > 0: (a H, l) has the verdict of (H, l), for a Jordan and a non-normal
+    general coupling, with a random H and with one commuting with the state."""
+    rng = np.random.default_rng(seed)
+    l = JordanL(0.3 + 0.1j, 1.0) if shape == "jordan" else GeneralL([[0.3, 1.0], [0.2, 0.1]], 1.0)
+    h = random_hamiltonian(rng, 1.0).matrix
+    if commuting:
+        h = compute_pointer(SystemSpec(Hamiltonian.zero(), l)).rho + rng.normal() * np.eye(2)
+    want = classify_unitons(SystemSpec(Hamiltonian(h), l))
+    assert isinstance(want, StationaryPointerOnly if commuting else NoUnitons)
+    assert classify_unitons(SystemSpec(Hamiltonian(10.0**log_alpha * h), l)).label == want.label
 
 
 @given(
@@ -334,3 +357,29 @@ def test_rotated_non_normal_coupling_maps_every_result(seed):
         field = "rho" if kind is StationaryPointerOnly else "candidate"
         assert np.max(np.abs(getattr(v_want, field) - kernel)) < 1e-12
         assert np.max(np.abs(getattr(v_got, field) - from_frame(kernel, u))) < 1e-10
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_e=st.floats(-16.0, 0.0),
+    log_h=st.floats(-12.0, 12.0),
+    rotate=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_pointer_and_spectrum_agree_on_the_zero_mode(seed, log_e, log_h, rotate):
+    """A diagonal coupling with H off diagonal by e, at any size of H and in
+    any basis: the pointer is unique exactly where the spectrum has no zero
+    mode, and a zero mode's rate is exactly 0 while every other real rate is
+    negative."""
+    rng = np.random.default_rng(seed)
+    e = 10.0**log_e * random_complex(rng)
+    h = 10.0**log_h * np.array([[rng.normal(), e], [e.conjugate(), rng.normal()]])
+    spec = SystemSpec(Hamiltonian(h), DiagonalL(random_complex(rng), random_complex(rng), 1.0))
+    if rotate:
+        spec = rotated_general(spec, haar_unitary(rng))
+    md = spectrum(spec)
+    zero = md.structure is SpectrumStructure.ZERO_MODE
+    assert isinstance(compute_pointer(spec), UniquePointer) is not zero
+    assert (assert_stability(md, spec) is spectral.StabilityVerdict.ZERO_MODE_PRESENT) is zero
+    real = [m.rate.real for m in md.modes if m.rate.imag == 0.0]
+    assert (0.0 in real) is zero and all(r <= 0.0 for r in real)

@@ -10,6 +10,7 @@ from fgkls.generator import build_generator
 from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec
 from fgkls.numerics import cubic_roots
 from fgkls.perturb import weak_rates
+from fgkls.pointer import DiagonalFamily, UniquePointer, compute_pointer
 from fgkls.sampling import random_complex, random_hamiltonian, random_spec
 from fgkls.spectral import (
     SpectrumStructure,
@@ -18,7 +19,8 @@ from fgkls.spectral import (
     _depressed,
     _minus_rate,
     _largest_cross,
-    _real_root_chains,
+    _rank_one,
+    _semisimple_chains,
     _scaled_rows,
     assert_stability,
     char_cubic,
@@ -355,7 +357,8 @@ class TestCrossProductEigenvectors:
         spec = SystemSpec(DEGENERATE_H, DiagonalL(1.0, 0.3, 1.0))
         m = _scaled_rows(spec.canonical)
         b = _minus_rate(m, -2.0)
-        chains = _real_root_chains(b, 2, 1e-8)
+        assert _rank_one(spec.canonical)
+        chains = _semisimple_chains(b, 2)
         assert not calls
         assert [len(c) for c in chains] == [1, 1]
         vs = np.array([c[0] for c in chains])
@@ -383,7 +386,7 @@ def test_large_scaled_gap_keeps_the_real_parts():
     want = sorted(a1.real for _, a1 in weak_rates(spec).branches)
     assert got == pytest.approx(want, abs=1e-9)
     assert assert_stability(md, spec) is StabilityVerdict.ALL_DAMPED
-    # Real parts are judged against the damping scale, not against |s|.
+    # The structure comes from the canonical parameters, not from |s|.
     assert md.structure is SpectrumStructure.COMPLEX_PAIR_PLUS_REAL
 
 
@@ -561,3 +564,60 @@ def test_depressed_cubic_rounding_bound(shape, general_double_roots):
             + 2 * EPS * (4 * abs(p) ** 3 + 27 * q * q)
         )
         assert abs(Fraction(disc) - (-4 * exact_p**3 - 27 * exact_q**2)) <= bound
+
+
+@dataclasses.dataclass(frozen=True)
+class ExactComplex:
+    """h = re + i im with rational parts, for the exact cubic."""
+
+    real: Fraction
+    imag: Fraction
+
+
+def test_no_undamped_oscillation_in_exact_arithmetic():
+    """The paper's closing theorem for every non-scalar coupling, on the
+    code's own cubic evaluated exactly: with (x, t) != 0, p2 > 0 and the
+    Routh-Hurwitz determinant p1 p2 - p0 > 0, so no root is purely
+    imaginary; p0 >= 0, and p0 = 0 exactly when t = 0 and (x = 0 or
+    h = 0), the zero mode of ``Canonical.zero_mode``."""
+    rng = np.random.default_rng(23)
+    template = SystemSpec(DEGENERATE_H, JordanL(0.0, 1.0)).canonical
+
+    def canonical_floats():
+        x, t = rng.uniform(0.0, 1.0, 2) * 10.0 ** rng.uniform(-150, 0, 2)
+        g, re, im = rng.normal(size=3) * 10.0 ** rng.uniform(-150, 150, 3)
+        choice = rng.integers(8)
+        x, t = (0.0 if choice == 0 else x), (0.0 if choice in (0, 1) else t)
+        if choice == 2:
+            re = im = 0.0
+        return x, t, g, complex(re, 0.0 if choice == 3 else im)
+
+    for _ in range(1000):
+        x, t, g, h = canonical_floats()
+        scaled = (Fraction(g), ExactComplex(Fraction(h.real), Fraction(h.imag)))
+        exact = dataclasses.replace(template, x=Fraction(x), t=Fraction(t), scaled=scaled)
+        p2, p1, p0 = _canonical_cubic(exact)
+        assert all(isinstance(p, Fraction) for p in (p2, p1, p0))
+        assert p0 >= 0
+        assert (p0 == 0) == (t == 0 and (x == 0 or h == 0))
+        if x or t:
+            assert p2 > 0 and p1 * p2 - p0 > 0
+
+
+@pytest.mark.parametrize("e", [10.0**-k for k in range(3, 13)] + [0.0])
+def test_labels_agree_off_the_diagonal(e):
+    """H = [[1/2, e], [e, -1/2]] with l = diag(1, -1): p0 = 8 e^2, so the
+    pointer is unique, there is no zero mode and the slowest rate is
+    negative for every e > 0, and all three labels flip together at e = 0."""
+    spec = SystemSpec(Hamiltonian([[0.5, e], [e, -0.5]]), DiagonalL(1.0, -1.0, 1.0))
+    md = spectrum(spec)
+    slowest = max(m.rate.real for m in md.modes)
+    verdict = assert_stability(md, spec)
+    if e:
+        assert isinstance(compute_pointer(spec), UniquePointer)
+        assert md.structure is not SpectrumStructure.ZERO_MODE
+        assert verdict is StabilityVerdict.ALL_DAMPED and slowest < 0.0
+    else:
+        assert isinstance(compute_pointer(spec), DiagonalFamily)
+        assert md.structure is SpectrumStructure.ZERO_MODE
+        assert verdict is StabilityVerdict.ZERO_MODE_PRESENT and slowest == 0.0

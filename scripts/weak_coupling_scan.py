@@ -22,8 +22,7 @@ from fgkls.spectral import spectrum
 def rate_error(h: Hamiltonian, lam: complex, c: float) -> float:
     """max |rate - (a0 + a1 c^2)| over the three rates at c."""
     series = weak_rates(SystemSpec(h, JordanL(lam, 0.1)))
-    md = spectrum(SystemSpec(h, JordanL(lam, c)))
-    return series.matched_error(c, [m.rate for m in md.modes for _ in m.vectors])
+    return series.matched_error(c, spectrum(SystemSpec(h, JordanL(lam, c))).rates)
 
 
 def main() -> None:

@@ -279,8 +279,7 @@ def _perturb_payload(spec: SystemSpec) -> dict:
         return SystemSpec(spec.hamiltonian, dataclasses.replace(spec.lindblad, c=c))
 
     def rate_error(c: float) -> float:
-        md = spectral.spectrum(at(c))
-        return series.matched_error(c, [mode.rate for mode in md.modes for _ in mode.vectors])
+        return series.matched_error(c, spectral.spectrum(at(c)).rates)
 
     est = perturb.order_estimate(rate_error, lambda c: 0.0, perturb.SMALL_C_GRID)
     payload = {
@@ -334,9 +333,12 @@ def _oracle_check_payload(spec: SystemSpec, rho0, ts, seed) -> dict:
         cfg = oracle.IntegratorConfig(dt=dt, t_end=t_end, record_stride=stride)
         times, rhos = oracle.integrate(spec, state, cfg)
         ana = evolution.trajectory(sol, times)
-        worst = max(worst, float(np.max(np.abs(ana - rhos))))
+        # np.maximum keeps a NaN, which max(worst, nan) would drop.
+        worst = np.maximum(worst, np.max(np.abs(ana - rhos)))
+    if not math.isfinite(worst):
+        raise ContractError(f"the deviation from the RK4 oracle is {float(worst)!r}")
     return {
-        "max_deviation": worst,
+        "max_deviation": float(worst),
         "states_checked": len(states),
         "dt": dt,
         "t_end": float(ts[-1]),
@@ -372,7 +374,10 @@ def run(job: dict, out_override: str | None = None, seed: int | None = None) -> 
         ts = parse_time_grid(job["time_grid"])
     elif command in ("evolve", "positivity", "oracle-check"):
         # rate_unit refuses a c^2 that is not a normal float before it sets the span.
-        ts = np.linspace(0.0, 10.0 / spectral.rate_unit(spec.c), 400)
+        span = 10.0 / spectral.rate_unit(spec.c)
+        if not math.isfinite(span):
+            raise ContractError(f"the default time span 10 / c^2 = {span!r} is not finite")
+        ts = np.linspace(0.0, span, 400)
 
     if command == "evolve":
         sol = evolution.solve_ivp(spec, rho0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotReducibleError
+from .errors import ContractError, NotReducibleError
 from .model import SystemSpec, as_density, coords_from_frame, dagger2, det2
 from .numerics import scalar_norm
 from .pointer import compute_pointer, representative
@@ -67,13 +67,13 @@ def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
     The pointer part is the attracting state when it is unique and a family
     representative otherwise (the deviation then carries the family
     freedom).  The Newton vectors are computed in ``spectrum``'s frame and
-    mapped back through its U once.
+    mapped back through its U once; ``ContractError`` where one is not finite.
     """
     rho0 = as_density(rho0)
     pointer_part = representative(compute_pointer(spec))
     md = spectrum(spec)
     # r1 and r3 farthest apart, the first such pair in the order of rates.
-    a, b, c = [m.rate for m in md.modes for _ in m.vectors]
+    a, b, c = md.rates
     gaps = (abs(a - c), abs(a - b), abs(b - c))
     r1, r2, r3 = ((a, b, c), (a, c, b), (b, a, c))[gaps.index(max(gaps))]
 
@@ -83,6 +83,8 @@ def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
     rows, frame, unit = generator_rows(spec)
     w1 = _minus(rows, unit, r1, d0 if frame is None else coords_from_frame(d0, dagger2(frame)))
     w2 = _minus(rows, unit, r2, w1)
+    if not cmath.isfinite(sum(w1) + sum(w2)):
+        raise ContractError("the Newton vectors (M - r1) d0 and (M - r2) (M - r1) d0 leave the float range")
     if frame is not None:
         w1, w2 = coords_from_frame(w1, frame), coords_from_frame(w2, frame)
     terms = np.array([[q00, q01, q10], d0, w1, w2])

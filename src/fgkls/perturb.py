@@ -73,8 +73,7 @@ def weak_rates(spec: SystemSpec) -> RateSeries:
     its conjugate at -i dE.  Where dE = 0, a1 are M1's rates, multiplicities kept."""
     m0, _, m1, _, w, de, probe = _split(spec)
     if not de:
-        md = spectrum(SystemSpec(Hamiltonian.zero(), probe()))
-        return RateSeries(tuple((0j, m.rate * w) for m in md.modes for _ in m.vectors))
+        return RateSeries(tuple((0j, r * w) for r in spectrum(SystemSpec(Hamiltonian.zero(), probe())).rates))
     shift = lambda s: [[z - s if i == j else z for j, z in enumerate(r)] for i, r in enumerate(m0)]
     a1 = [_det_poly(shift(s), m1)[1] / (3.0 * s * s + de * de) * w for s in (0j, 1j * de)]
     return RateSeries(((0j, a1[0]), (1j * de, a1[1]), (-1j * de, a1[1].conjugate())))

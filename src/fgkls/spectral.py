@@ -18,7 +18,7 @@ The generator is an arrowhead matrix, rows [m10, m11, 0] and [conj m10, 0,
 conj m11] below the first, and its modes are closed forms on Python scalars:
 eigenvectors are row cross products, chain links minimum-norm solutions, and
 a multiple root has two eigenvectors only where m10 or m01 vanishes and m11
-is real.  Modes are mapped back through the frame U.
+is real.  Modes are built on first read and mapped back through the frame U.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -83,10 +84,14 @@ class Mode:
 
 @dataclass(frozen=True, eq=False)
 class ModeDecomposition:
-    modes: tuple[Mode, ...]
+    """Rates, structure and cubic; ``modes`` is made by ``_build`` on first read."""
+
+    rates: tuple[complex, complex, complex]  # by multiplicity, in the order of the modes' chain vectors
     structure: SpectrumStructure
     cubic: tuple[complex, complex, complex]
     scaled: bool  # True when the cubic variable is s = rate / c^2
+    _build: partial
+    modes = cached_property(lambda self: self._build())
 
     def s_roots(self, c: float) -> list[tuple[complex, int]]:
         """Root list in the rescaled variable (identity when c == 0)."""
@@ -135,18 +140,7 @@ def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
     cubic s (s^2 + (E1 - E2)^2) whatever its shape; otherwise the closed
     form of the canonical system, rescaled from c' to c.
     """
-    c = spec.c
-    if c == 0:
-        # A closed system's rates are 0 and +/- i (E1 - E2); the exact cubic
-        # keeps their real parts exactly zero, where a numeric one would
-        # leave rounding of order eps |H| for assert_stability to read as
-        # growth.
-        return (0j, complex(spec.hamiltonian.splitting**2), 0j)
-    canon = spec.canonical
-    # The rates are frame-invariant, but s' = rate / c'^2 = s / k.
-    k = (canon.c / c) ** 2
-    p2, p1, p0 = _canonical_cubic(canon)
-    return (complex(p2 * k), complex(p1 * k * k), complex(p0 * k * k * k))
+    return spectrum(spec).cubic
 
 
 def _near(a: float, b: float, err: float) -> bool:
@@ -366,38 +360,19 @@ def rate_unit(c: float) -> float:
     return c * c or 1.0
 
 
-def spectrum(spec: SystemSpec) -> ModeDecomposition:
-    """Roots, Jordan chains and structure of the homogeneous generator, on
-    Python scalars: in the canonical frame for c > 0, in the caller's for
-    a closed system.
-
-    Modes are extracted from the rows of M / w of ``generator_rows``; the
-    j-th link of a chain is scaled back by w^-j.  Raises ``ContractError``
-    when c^2 is not a normal float (``rate_unit``).
-    """
-    c = spec.c
-    rate_unit(c)
+def _modes(spec: SystemSpec, canon: Canonical | None, scale: float, s_roots) -> tuple[Mode, ...]:
+    """Jordan chains of ``spectrum``'s roots on Python scalars, from the rows
+    of M / w of ``generator_rows``; the j-th link is scaled back by w^-j."""
     rows, frame, unit = generator_rows(spec)
-    canon = spec.canonical if c > 0 else None
-    scale = unit if c > 0 else 1.0
     ratio = scale / unit  # from s to the units of rows
-    if canon is not None and (canon.x or canon.t):
-        s_roots = _canonical_roots(canon, *_canonical_cubic(canon))
-        freq = None
-    else:
-        # No dissipation (c = 0 or a scalar l): the rates are exactly 0 and
-        # +/- i (E1 - E2), which is 0 where H is degenerate.
-        freq = spec.hamiltonian.splitting / scale
-        s_roots = [(complex(0.0, -freq), 1), (0j, 1), (complex(0.0, freq), 1)] if freq else [(0j, 3)]
-
     # Chain vectors map as the traceless matrices they stand for, so they
     # stay Jordan chains of the caller's generator.
     back = tuple if frame is None else (lambda v: coords_from_frame(v, frame))
     modes: list[Mode] = []
     for s, mult in s_roots:
         rate = s * scale
-        if mult == 3 and freq == 0.0:
-            # M = 0: every direction is a mode.
+        if mult == 3 and s == 0:
+            # M = 0 (a damped triple root is -(4 x^2 + 2 t^2) / 3): every direction is a mode.
             modes += [Mode(rate, (back(v),)) for v in _HERMITIAN_BASIS]
         elif s.imag == 0.0:
             rate = complex(rate.real)
@@ -415,6 +390,40 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
             modes += [Mode(rate.conjugate(), (back(v),)), Mode(rate, (back(dagger_coords(v)),))]
     if sum(len(m.vectors) for m in modes) != 3:
         raise InternalError("mode chains do not span three dimensions")
+    return tuple(modes)
+
+
+def spectrum(spec: SystemSpec) -> ModeDecomposition:
+    """Rates, structure and cubic of the homogeneous generator, with modes
+    built by ``_modes`` on first read.  Raises ``ContractError`` when c^2 is
+    not a normal float (``rate_unit``)."""
+    c = spec.c
+    rate_unit(c)
+    if c > 0:
+        canon = spec.canonical
+        scale = canon.c * canon.c
+        p2, p1, p0 = _canonical_cubic(canon)
+        # The rates are frame-invariant, but s' = rate / c'^2 = s / k.
+        k = (canon.c / c) ** 2
+        cubic = (complex(p2 * k), complex(p1 * k * k), complex(p0 * k * k * k))
+    else:
+        # A closed system's exact cubic keeps the real parts of its rates 0 and
+        # +/- i (E1 - E2) exactly zero; rounding of order eps |H| would read as growth.
+        canon, scale, cubic = None, 1.0, (0j, complex(spec.hamiltonian.splitting**2), 0j)
+    if canon is not None and (canon.x or canon.t):
+        s_roots = _canonical_roots(canon, p2, p1, p0)
+        freq = None
+    else:
+        # No dissipation (c = 0 or a scalar l): the rates are exactly 0 and
+        # +/- i (E1 - E2), which is 0 where H is degenerate.
+        freq = spec.hamiltonian.splitting / scale
+        s_roots = [(complex(0.0, -freq), 1), (0j, 1), (complex(0.0, freq), 1)] if freq else [(0j, 3)]
+    # In the order of _modes's chain vectors, which lead a complex pair with its upper member.
+    rates: list[complex] = []
+    for s, mult in s_roots:
+        rate = s * scale
+        if s.imag <= 0.0:
+            rates += [complex(rate.real)] * mult if s.imag == 0.0 else [rate.conjugate(), rate]
 
     # Structure reflects algebraic multiplicity: a diagonalizable double root
     # is still DoubleRoot even though it carries two simple modes.
@@ -431,17 +440,17 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
         structure = SpectrumStructure.COMPLEX_PAIR_PLUS_REAL
     else:
         structure = SpectrumStructure.DISTINCT
-
-    return ModeDecomposition(tuple(modes), structure, char_cubic(spec), c > 0)
+    modes = partial(_modes, spec, canon, scale, s_roots)
+    return ModeDecomposition(tuple(rates), structure, cubic, c > 0, modes)
 
 
 def assert_stability(md: ModeDecomposition, spec: SystemSpec) -> StabilityVerdict:
     """Classify the decay-rate signs as ``md.structure`` does: all strictly
     damped, a zero mode, or undamped oscillation.  A zero rate is exact and
     other real parts negative, so a positive real part raises."""
-    for m in md.modes:
-        if m.rate.real > 0.0:
-            raise InternalError(f"growing mode {m.rate!r}: generator cannot expand states")
+    for rate in md.rates:
+        if rate.real > 0.0:
+            raise InternalError(f"growing mode {rate!r}: generator cannot expand states")
     if md.structure is SpectrumStructure.OSCILLATORY_UNDAMPED:
         return StabilityVerdict.UNDAMPED
     if md.structure is SpectrumStructure.ZERO_MODE:

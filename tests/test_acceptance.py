@@ -289,8 +289,7 @@ def test_criterion_08_perturbation_orders():
         series = weak_rates(SystemSpec(h, JordanL(lam, 0.1)))
 
         def err(c):
-            md = spectrum(SystemSpec(h, JordanL(lam, c)))
-            numeric = [m.rate for m in md.modes for _ in m.vectors]
+            numeric = list(spectrum(SystemSpec(h, JordanL(lam, c))).rates)
             worst = 0.0
             for pred in series.predicted(c):
                 j = int(np.argmin([abs(n - pred) for n in numeric]))

@@ -20,6 +20,7 @@ from fgkls.cli import (
     parse_time_grid,
     run,
 )
+from fgkls import oracle
 from fgkls.evolution import solve_ivp, trajectory
 from fgkls.model import (
     DiagonalL,
@@ -556,6 +557,38 @@ class TestErrors:
         doc["system"] = SUBNORMAL_C_SQUARED
         assert main(["--job", write_job(tmp_path, doc)]) == EXIT_CONTRACT
         assert "c^2 = 1e-320 is not a normal float" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["evolve", "positivity", "oracle-check"])
+    def test_default_grid_refuses_a_span_beyond_the_float_range(self, command, tmp_path, capsys):
+        # c^2 = 2.25e-308 is normal, but 10 / c^2 overflows.
+        doc = degenerate_jordan_job(command=command, initial_state=[[0.5, 0.0], [0.0, 0.5]])
+        doc["system"] = {**HUGE_CUBIC, "lindblad": {**HUGE_CUBIC["lindblad"], "c": 1.5e-154}}
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_CONTRACT
+        assert "10 / c^2 = inf is not finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["evolve", "positivity", "oracle-check"])
+    def test_overflowing_newton_vectors_are_refused(self, command, tmp_path, capsys):
+        # (M - r1) d0 overflows with rates of 1e298; the trajectory would be
+        # NaN from t = 0 on.
+        doc = degenerate_jordan_job(command=command, initial_state=[[0.5, 0.0], [0.0, 0.5]])
+        doc["system"] = HUGE_CUBIC
+        doc["time_grid"] = {"t_end": 1.0, "points": 3}
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_CONTRACT
+        captured = capsys.readouterr()
+        assert "Newton vectors" in captured.err and captured.out == ""
+
+    def test_oracle_check_refuses_a_nan_deviation(self, monkeypatch, tmp_path, capsys):
+        # max(0.0, nan) is 0.0: a NaN oracle state must not read as agreement.
+        def nan_states(spec, rho0, cfg):
+            times = np.linspace(0.0, cfg.t_end, 3)
+            return times, np.full((3, 2, 2), np.nan, dtype=complex)
+
+        monkeypatch.setattr(oracle, "integrate", nan_states)
+        assert main(["--job", write_job(tmp_path, JSON_JOBS["oracle-check"])]) == EXIT_CONTRACT
+        captured = capsys.readouterr()
+        assert "deviation from the RK4 oracle is nan" in captured.err and captured.out == ""
 
     # oracle-check's RK4 propagator overflows on rates of 1e298 and warns;
     # what this test checks is the output.

@@ -52,12 +52,19 @@ FAMILIES = {
 }
 
 
+def rank_one_double_root_spec(rng):
+    """Pure dephasing over degenerate levels: a diagonalizable double root,
+    at which M - rate has rank one."""
+    lambda1, lambda2, c = rng.uniform(0.5, 1.5, size=3).tolist()
+    return SystemSpec(Hamiltonian.diagonal(0.5, 0.5), DiagonalL(lambda1, -lambda2, c))
+
+
 # Residual allowed to eigenvectors and chain links, relative to max(1, ||M||).
 CHAIN_RTOL = 1e-8
 
 
 def rates(spec):
-    return [m.rate for m in spectrum(spec).modes for _ in m.vectors]
+    return spectrum(spec).rates
 
 
 def max_rate_mismatch(got, want):
@@ -115,6 +122,36 @@ def test_rotated_diagonal_double_roots_are_snapped(seed):
     md = spectrum(rot)
     assert md.structure is SpectrumStructure.DOUBLE_ROOT
     assert [len(m.vectors) for m in md.modes] == [len(m.vectors) for m in spectrum(spec).modes]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(sorted(FAMILIES) + ["rank one double root"]),
+    rotated=st.booleans(),
+    coupling=st.sampled_from(["as drawn", "scalar", "closed"]),
+    degenerate=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_rates_are_the_mode_rates_by_chain_length(seed, family, rotated, coupling, degenerate):
+    """``rates`` is each mode's rate repeated by its chain length, in the
+    order of ``modes``, bit for bit: on every family, canonical and rotated,
+    with the coupling as drawn, a scalar l or none (c = 0), over its H or a
+    degenerate one."""
+    rng = np.random.default_rng(seed)
+    spec = FAMILIES.get(family, rank_one_double_root_spec)(rng)
+    lind = spec.lindblad
+    if coupling == "scalar":
+        lam = random_complex(rng)
+        lind = DiagonalL(lam, lam, lind.c)
+    elif coupling == "closed":
+        lind = dataclasses.replace(lind, c=0.0)
+    spec = SystemSpec(Hamiltonian.diagonal(0.4, 0.4) if degenerate else spec.hamiltonian, lind)
+    if rotated:
+        spec = rotated_general(spec, haar_unitary(rng), float(rng.uniform(0.5, 2.0)))
+    md = spectrum(spec)
+    want = tuple(m.rate for m in md.modes for _ in m.vectors)
+    assert md.rates == want
+    assert np.array(md.rates).tobytes() == np.array(want).tobytes()
 
 
 @given(

@@ -22,8 +22,7 @@ EVEN_ORDERS = (0, 2, 4, 6, 8)
 
 
 def numeric_rates(spec):
-    md = spectrum(spec)
-    return [m.rate for m in md.modes for _ in m.vectors]
+    return list(spectrum(spec).rates)
 
 
 def matched_rate_error(h, lind_of_c, series, c):

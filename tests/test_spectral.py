@@ -1,17 +1,21 @@
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from fgkls import spectral
+from fgkls.errors import NotReducibleError
+from fgkls.evolution import single_mode_reduction, solve_ivp, trajectory
 from fgkls.generator import build_generator
 from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec
 from fgkls.numerics import cubic_roots
 from fgkls.perturb import weak_rates
 from fgkls.pointer import DiagonalFamily, UniquePointer, compute_pointer
-from fgkls.sampling import random_complex, random_hamiltonian, random_spec
+from fgkls.sampling import random_complex, random_density, random_hamiltonian, random_spec
 from fgkls.spectral import (
     SpectrumStructure,
     StabilityVerdict,
@@ -34,7 +38,7 @@ from test_acceptance import (
     rotated_general,
 )
 from test_evolution import NEAR_MANIFOLD, NEAR_MANIFOLD_DISTANCES
-from test_invariance import CHAIN_RTOL
+from test_invariance import CHAIN_RTOL, rank_one_double_root_spec
 from test_scalar_pipeline import workload_ops
 
 EPS = np.finfo(float).eps
@@ -415,6 +419,42 @@ class TestChainsAreSolvedOnce:
         assert not calls
 
 
+class TestModesAreBuiltOnFirstRead:
+    """A solve, its stability verdict, trajectory and single-mode reduction
+    read the rates alone: no eigenvector or chain is built until ``modes``
+    is first read, and a second read builds none."""
+
+    @pytest.mark.parametrize(
+        "family, builder",
+        [
+            (lambda rng: random_spec(rng, "any"), "_largest_cross"),
+            (jordan_triple_root_spec, "_real_root_chains"),
+            (jordan_double_root_spec, "_real_root_chains"),
+            (rank_one_double_root_spec, "_semisimple_chains"),
+        ],
+    )
+    def test_chain_calls(self, rng, monkeypatch, family, builder):
+        calls = Counter()
+        for name in ("_largest_cross", "_real_root_chains", "_semisimple_chains"):
+            real = getattr(spectral, name)
+            monkeypatch.setattr(spectral, name, lambda *a, _r=real, _n=name: calls.update([_n]) or _r(*a))
+        for _ in range(5):
+            spec = family(rng)
+            sol = solve_ivp(spec, random_density(rng))
+            assert_stability(sol.modes, spec)
+            trajectory(sol, np.linspace(0.0, 1.0, 5))
+            try:
+                single_mode_reduction(sol)
+            except NotReducibleError:
+                pass
+            assert not calls
+            modes = sol.modes.modes
+            assert calls[builder] > 0
+            built = calls.copy()
+            assert sol.modes.modes is modes and calls == built
+            calls.clear()
+
+
 @pytest.mark.parametrize("gap", [1.0, 1e-4, 1e-6, 1e-9, 1e-13, 0.0])
 @pytest.mark.parametrize("lindblad", [DiagonalL(1.0, 0.0, 0.0), DiagonalL(1.0, 1.0, 1.0)], ids=["closed", "scalar"])
 def test_closed_and_scalar_spectra_are_exact_at_any_gap(gap, lindblad):
@@ -500,7 +540,7 @@ def cubic_miss(spec):
     spectrum's rates against char_cubic, in its variable."""
     md = spectrum(spec)
     scale = spec.c**2 if md.scaled else 1.0
-    r1, r2, r3 = [m.rate / scale for m in md.modes for _ in m.vectors]
+    r1, r2, r3 = [r / scale for r in md.rates]
     radius = max(abs(r1), abs(r2), abs(r3))
     rebuilt = (-(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -(r1 * r2 * r3))
     return max(abs(e - p) / (EPS * radius**k) for k, (e, p) in enumerate(zip(rebuilt, md.cubic), 1))

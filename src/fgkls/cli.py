@@ -194,18 +194,19 @@ def _spectrum_payload(spec: SystemSpec) -> dict:
     # Its roots are then finite too: |real root| <= |p2| and |z|^2 <= |p1|.
     if not all(math.isfinite(abs(p)) for p in md.cubic):
         raise ContractError("the cubic in s = rate / c^2 leaves the float range")
+    unit = spectral.rate_unit(spec.c)
     return {
         "structure": md.structure.value,
         "stability": verdict.value,
-        "scaled": md.scaled,
+        "scaled": spec.c > 0,
         "cubic": [complex_out(p2), complex_out(p1), complex_out(p0)],
         "roots": [
             {
-                "s": complex_out(s),
-                "rate": complex_out(s * (spec.c**2 if spec.c > 0 else 1.0)),
+                "s": complex_out(rate / unit),
+                "rate": complex_out(rate / unit * (spec.c**2 or 1.0)),
                 "multiplicity": mult,
             }
-            for s, mult in md.s_roots(spec.c)
+            for rate, mult in md.roots
         ],
         "modes": [
             {"rate": complex_out(m.rate), "poly_degree": m.poly_degree}

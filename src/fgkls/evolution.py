@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NotReducibleError
+from .errors import NotReducibleError
 from .model import SystemSpec, as_density, coords_from_frame, dagger2, det2
-from .numerics import scalar_norm
+from .numerics import power_of_two, scalar_norm
 from .pointer import compute_pointer, representative
-from .spectral import ModeDecomposition, generator_rows, rate_unit, spectrum
+from .spectral import ModeDecomposition, scaled_rows, rate_unit, spectrum
 
 # The nodes are ``spectrum``'s rates, which solve M's cubic to rounding: the
 # coefficients of prod (s - r) are within 64 eps R^k of it, R = max |r|
@@ -40,12 +40,13 @@ REDUCTION_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class AnalyticSolution:
-    """Closed-form trajectory: pointer part plus the Newton form.
+    """Closed-form trajectory: pointer part plus the Newton form, in the
+    exact time unit 1 / w, ``unit`` w the power of two of ``Canonical.unit``.
 
-    ``nodes`` are the roots of M's cubic, r1 and r3 farthest apart.  The
-    rows of ``terms`` are the coordinates of the pointer part, of
-    d0 = rho0 - pointer_part, of w1 = (M - r1) d0 and of w2 = (M - r2) w1:
-    rho(t) = [1, f[r1], f[r1, r2], f[r1, r2, r3]] . terms.
+    ``nodes`` are the roots of M's cubic over w, s1 and s3 farthest apart.
+    The rows of ``terms`` are the coordinates of the pointer part, of
+    d0 = rho0 - pointer_part, of w1 = (M / w - s1) d0 and of w2 =
+    (M / w - s2) w1: rho(t) = [1, f[s1], f[s1, s2], f[s1, s2, s3]](w t) . terms.
     """
 
     spec: SystemSpec
@@ -53,12 +54,13 @@ class AnalyticSolution:
     modes: ModeDecomposition
     nodes: tuple[complex, complex, complex]
     terms: np.ndarray
+    unit: float
 
 
-def _minus(rows: list[list[complex]], unit: float, r: complex, v) -> list[complex]:
-    """(M - r) v on Python scalars, M given by the rows of M / unit."""
+def _minus(rows: list[list[complex]], factor: float, s: complex, v) -> list[complex]:
+    """(factor rows - s) v on Python scalars."""
     x, y, z = v
-    return [unit * (a * x + b * y + c * z) - r * w for (a, b, c), w in zip(rows, v)]
+    return [factor * (a * x + b * y + c * z) - s * w for (a, b, c), w in zip(rows, v)]
 
 
 def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
@@ -66,29 +68,29 @@ def solve_ivp(spec: SystemSpec, rho0) -> AnalyticSolution:
 
     The pointer part is the attracting state when it is unique and a family
     representative otherwise (the deviation then carries the family
-    freedom).  The Newton vectors are computed in ``spectrum``'s frame and
-    mapped back through its U once; ``ContractError`` where one is not finite.
+    freedom).  The Newton vectors are computed from the canonical rows
+    M / unit, in the canonical frame, and mapped back through its U once.
     """
     rho0 = as_density(rho0)
     pointer_part = representative(compute_pointer(spec))
     md = spectrum(spec)
-    # r1 and r3 farthest apart, the first such pair in the order of rates.
-    a, b, c = md.rates
+    canon = spec.canonical
+    w = power_of_two(canon.unit)
+    # s1 and s3 farthest apart, the first such pair in the order of rates.
+    a, b, c = (r / w for r in md.rates)
     gaps = (abs(a - c), abs(a - b), abs(b - c))
-    r1, r2, r3 = ((a, b, c), (a, c, b), (b, a, c))[gaps.index(max(gaps))]
+    s1, s2, s3 = ((a, b, c), (a, c, b), (b, a, c))[gaps.index(max(gaps))]
 
     (f00, f01), (f10, _) = rho0.tolist()
     (q00, q01), (q10, _) = pointer_part.tolist()
     d0 = [f00 - q00, f01 - q01, f10 - q10]
-    rows, frame, unit = generator_rows(spec)
-    w1 = _minus(rows, unit, r1, d0 if frame is None else coords_from_frame(d0, dagger2(frame)))
-    w2 = _minus(rows, unit, r2, w1)
-    if not cmath.isfinite(sum(w1) + sum(w2)):
-        raise ContractError("the Newton vectors (M - r1) d0 and (M - r2) (M - r1) d0 leave the float range")
+    rows, frame, factor = scaled_rows(canon), canon.basis, canon.unit / w
+    w1 = _minus(rows, factor, s1, d0 if frame is None else coords_from_frame(d0, dagger2(frame)))
+    w2 = _minus(rows, factor, s2, w1)
     if frame is not None:
         w1, w2 = coords_from_frame(w1, frame), coords_from_frame(w2, frame)
     terms = np.array([[q00, q01, q10], d0, w1, w2])
-    return AnalyticSolution(spec, pointer_part, md, (r1, r2, r3), terms)
+    return AnalyticSolution(spec, pointer_part, md, (s1, s2, s3), terms, w)
 
 
 def rho_at(sol: AnalyticSolution, t: float) -> np.ndarray:
@@ -99,8 +101,8 @@ def rho_at(sol: AnalyticSolution, t: float) -> np.ndarray:
 def trajectory(sol: AnalyticSolution, ts) -> np.ndarray:
     """Stack of density matrices on a grid, shape (len(ts), 2, 2), exactly
     Hermitian with f22 = 1 - f11: one (T, 4) . (4, 2) product of the
-    divided differences with the (f11, f12) columns of ``sol.terms``."""
-    ts = np.asarray(ts, dtype=float)
+    divided differences at w t with the (f11, f12) columns of ``sol.terms``."""
+    ts = np.asarray(ts, dtype=float) * sol.unit
     r1, r2, r3 = sol.nodes
     # One exponential per real node and per conjugate pair.
     exps = {r: np.exp(r * ts if r.imag else r.real * ts) for r in sol.nodes if r.imag >= 0.0}
@@ -176,9 +178,9 @@ def single_mode_reduction(sol: AnalyticSolution) -> SingleModeReduction:
     The state is single-mode at a real decaying rate r exactly when (M - r) d0
     vanishes, or M (M - r) d0 when 0 is a root; the pointer then absorbs the
     zero-mode part -(M - r) d0 / r.  Both are read off the Newton vectors,
-    M d0 = w1 + r1 d0 and M w1 = w2 + r2 w1; ``spectrum`` gives a zero mode
-    the rate 0 exactly and every other real rate a negative one.  Raises
-    ``NotReducibleError`` when no such rate carries the whole deviation.
+    M d0 = w1 + r1 d0 and M w1 = w2 + r2 w1 (over w); ``spectrum`` gives a
+    zero mode the rate 0 exactly and every other real rate a negative one.
+    Raises ``NotReducibleError`` when no such rate carries the deviation.
     """
     scale = rate_unit(sol.spec.c)
     r1, r2, _ = sol.nodes
@@ -195,7 +197,7 @@ def single_mode_reduction(sol: AnalyticSolution) -> SingleModeReduction:
         y = [a + r2 * b + (r1 - rate) * e for a, b, e in zip(w2, w1, md0)] if has_zero else x
         if scalar_norm(y) <= bound * radius ** (2 if has_zero else 1):
             zero = [-v / rate for v in x] if has_zero else [0j, 0j, 0j]
-            s3 = rate / scale
+            s3 = rate * sol.unit / scale
             break
     else:
         # No decaying rate carries the deviation, so it must be stationary.

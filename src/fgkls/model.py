@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, InputError
-from .numerics import eigvec2, finite_matrix
+from .numerics import eigvec2, finite_matrix, power_of_two
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -52,14 +52,14 @@ Entries2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 def _hermitian_part(m, tol: float) -> tuple[bool, Entries2, complex]:
-    """(whether max|m - m^dag| <= tol * max(1, ||m||), the entries of
-    (m + m^dag) / 2, tr m) for a finite 2x2 matrix.
+    """(whether max|m - m^dag| <= tol * ||m||, a bound relative at every
+    scale, the entries of (m + m^dag) / 2, tr m) for a finite 2x2 matrix.
 
     Scalar arithmetic on the four entries: numpy's per-call overhead would
     cost several times the arithmetic itself.
     """
     (a, b), (g, d) = finite_matrix(m).tolist()
-    scale = max(1.0, math.hypot(a.real, a.imag, b.real, b.imag, g.real, g.imag, d.real, d.imag))
+    scale = math.hypot(a.real, a.imag, b.real, b.imag, g.real, g.imag, d.real, d.imag)
     hermitian = max(2.0 * abs(a.imag), abs(b - g.conjugate()), 2.0 * abs(d.imag)) <= tol * scale
     off = (b + g.conjugate()) / 2
     return hermitian, ((complex(a.real), off), (off.conjugate(), complex(d.real))), a + d
@@ -188,7 +188,7 @@ class SystemSpec:
 
     @cached_property
     def canonical(self) -> Canonical:
-        """``canonicalize`` of this spec, computed once (c > 0 only)."""
+        """``canonicalize`` of this spec, computed once."""
         return canonicalize(self)
 
 
@@ -201,16 +201,20 @@ class Canonical:
     mu l0^dag): the Lindblad form is not unique.  The unitary U and a phase
     of L bring l0 to (c' / c) [[x, t], [0, -x]] with real x, t >= 0 and
     x^2 + t^2 = 1; a scalar l has x = t = 0 and c' = c.  t = 0 is the
-    diagonal shape and x = 0 the Jordan shape.
+    diagonal shape and x = 0 the Jordan shape.  A closed system (c = 0)
+    has x = t = 0, c' = 0 and U = I whatever l is.  Rates are canonical in
+    s' = rate / ``unit``, c'^2, or for c = 0 the power of two that brings H's
+    traceless part to [1, 2) (1 for H = a I); ``k`` = unit / c^2 (as (c' /
+    c)^2, inf beyond the float range; the unit for c = 0) maps s' to s.
 
     ``gap`` and ``h01`` are the level gap and (0, 1) entry of U^dag H U,
     ``gauge`` those of the gauge term over c'^2, ``scaled`` those of
-    H' / c'^2 and ``err`` a bound on the rounding of the latter, which is
+    H' / unit and ``err`` a bound on the rounding of the latter, which is
     eps times the size of the terms they were formed from.  ``basis`` holds
     the entries ((u00, u01), (u10, u11)) of U as Python scalars
     (rho' = U^dag rho U), or None for U = I.  Like x and t, ``gap`` and
     ``h01`` are exactly 0 where the shape of H makes them so: both where H
-    is degenerate, h01 where l is normal and H diagonal in its frame.
+    is degenerate, h01 where c > 0, l is normal and H diagonal in its frame.
     """
 
     c: float
@@ -222,6 +226,8 @@ class Canonical:
     scaled: tuple[float, complex]
     basis: Entries2 | None
     err: float
+    unit: float
+    k: float
 
     @property
     def degenerate(self) -> bool:
@@ -278,7 +284,7 @@ def _general_shape(e: complex, b: complex, g: complex, lmax: float):
     """
     # Divide by the power of two s that puts the largest entry in [1, 2), real and
     # imaginary parts apart: exact (complex division by a subnormal s overflows).
-    scale = math.ldexp(1.0, math.frexp(max(abs(e), abs(b), abs(g)))[1] - 1)
+    scale = power_of_two(max(abs(e), abs(b), abs(g)))
     e, b, g = (complex(z.real / scale, z.imag / scale) for z in (e, b, g))
     tol = SHAPE_RTOL * lmax / scale
     coincide = abs(e * e + b * g) <= tol
@@ -292,13 +298,14 @@ def _general_shape(e: complex, b: complex, g: complex, lmax: float):
 
 
 def canonicalize(spec: SystemSpec) -> Canonical:
-    """The canonical system (H', c', x, t) and frame U of a spec with c > 0,
-    on Python scalars.
+    """The canonical system (H', c', x, t), frame U and unit of a spec, on
+    Python scalars.
 
     A ``DiagonalL`` or ``JordanL`` shape is exact and keeps U = I; the
     shape of a ``GeneralL`` is decided at the rounding level of its
-    entries.  Raises ``ContractError`` when c'^2 is not a normal float or
-    H' / c'^2 is out of the range the closed forms can take.
+    entries, and a closed system's l is not read.  Raises ``ContractError``
+    when c'^2 > 0 is not a normal float or H' / c'^2 is out of the range
+    the closed forms can take.
     """
     form, c = spec.lindblad, spec.c
     (a, b), (g, d) = form.entries
@@ -306,7 +313,9 @@ def canonicalize(spec: SystemSpec) -> Canonical:
     lmax = max(abs(a), abs(b), abs(g), abs(d))
     # l0 = scale [[x, t], [~0, -x]] in the frame of vec = (p, q) (None: U = I).
     x, t, scale, vec = (a - d) / 2.0, 0j, 1.0, None
-    if isinstance(form, JordanL):
+    if not c:
+        x = 0j
+    elif isinstance(form, JordanL):
         x, t = 0j, 1 + 0j
     elif isinstance(form, GeneralL):
         if max(abs(x), abs(b), abs(g)) > SHAPE_RTOL * lmax:
@@ -315,7 +324,7 @@ def canonicalize(spec: SystemSpec) -> Canonical:
             x = 0j
     norm = math.hypot(abs(x), abs(t))
     if norm == 0.0:
-        # Scalar l: the dissipator vanishes and so does the gauge term.
+        # Scalar l or c = 0: the dissipator vanishes and so does the gauge term.
         c_new, x, t, gauge, lsize, turn = c, 0.0, 0.0, (0.0, 0j), 0.0, 1.0
     else:
         # A phase of L makes x real and nonnegative, one of the second
@@ -344,15 +353,21 @@ def canonicalize(spec: SystemSpec) -> Canonical:
         hround *= 1.0 + lsize
     if not spec.hamiltonian.splitting:
         gap, h01, hsize = 0.0, 0j, 0.0
-    elif t == 0.0 and abs(h01) <= hround:
+    elif c and t == 0.0 and abs(h01) <= hround:
         h01 = 0j
-    c2 = c_new * c_new
-    if not sys.float_info.min <= c2 < math.inf:
-        raise ContractError(f"c'^2 = {c2!r} is not a normal float")
-    scaled = (gap / c2 + gauge[0], h01 / c2 + gauge[1])
+    if c:
+        unit = c_new * c_new
+        if not sys.float_info.min <= unit < math.inf:
+            raise ContractError(f"c'^2 = {unit!r} is not a normal float")
+        # A power raises on overflow; from c' / c = 1e154 on, p2 k >= 2 k overflows anyway.
+        k = (c_new / c) ** 2 if c_new < 1e154 * c else math.inf
+    else:
+        # A power of two, so that H' / unit and the rates in it are exact.
+        unit = k = power_of_two(max(abs(0.5 * gap), abs(h01)))
+    scaled = (gap / unit + gauge[0], h01 / unit + gauge[1])
     if not (abs(scaled[0]) <= SCALED_MAX and abs(scaled[1]) <= SCALED_MAX):
         raise ContractError("H' / c'^2 is beyond the range of the closed forms")
-    return Canonical(c_new, x, t, gap, h01, gauge, scaled, basis, EPS * (hsize / c2 + lsize))
+    return Canonical(c_new, x, t, gap, h01, gauge, scaled, basis, EPS * (hsize / unit + lsize), unit, k)
 
 
 def gauge_shift(hamiltonian: Hamiltonian, lam: complex, c: float) -> Hamiltonian:

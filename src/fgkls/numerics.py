@@ -32,14 +32,18 @@ def finite_matrix(m, shape=(2, 2)) -> np.ndarray:
     return arr
 
 
+def power_of_two(x: float) -> float:
+    """The power of two p with x / p in [1, 2), or 1 for x = 0: scaling by
+    it is exact wherever the result neither under- nor overflows."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1) if x else 1.0
+
+
 def unit_scaled(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """(s, m / s) with s the power of two that puts max|m / s| in [1, 2), or
-    s = 1 for a zero matrix.  The division is exact, so results computed on
-    m / s and scaled back equal those computed on m wherever the latter do
-    not under- or overflow.  Real and imaginary parts are divided as reals,
+    """(s, m / s) with s = power_of_two(max|m|): results computed on m / s
+    and scaled back equal those computed on m wherever the latter do not
+    under- or overflow.  Real and imaginary parts are divided as reals,
     because complex division by a subnormal s overflows."""
-    top = float(np.max(np.abs(m)))
-    scale = math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0.0 else 1.0
+    scale = power_of_two(float(np.max(np.abs(m))))
     return scale, (m.view(float) / scale).view(complex)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .generator import rhs
 from .model import SystemSpec, as_density, coords, det2, from_coords
+from .numerics import power_of_two
 
 DEFAULT_DT = 1e-3
 # Interior points of each det_scan refinement grid.
@@ -50,10 +51,7 @@ def _norm2(m) -> float:
     scalars, in closed form on the matrix scaled like ``unit_scaled``, so
     that no square under- or overflows."""
     entries = [z for row in m for z in row]
-    top = max(map(abs, entries))
-    if top == 0.0:
-        return 0.0
-    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    scale = power_of_two(max(map(abs, entries)))
     a, b, g, d = (complex(z.real / scale, z.imag / scale) for z in entries)
     frob2 = sum(abs(z) ** 2 for z in (a, b, g, d))
     det = abs(a * d - b * g)
@@ -86,13 +84,18 @@ def _affine_field(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _step_maps(m: np.ndarray, q: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step of an affine field, as x -> P x + r."""
+    """One classical RK4 step of an affine field, as x -> P x + r, from the
+    powers of a M, a the power of two of dt: the stability gate keeps its
+    entries below one, so none overflows, and h = dt / a carries the rest."""
+    a = power_of_two(dt)
+    h = dt / a
     eye = np.eye(3, dtype=complex)
-    m2 = m @ m
-    m3 = m2 @ m
-    m4 = m3 @ m
-    p = eye + dt * m + dt**2 / 2.0 * m2 + dt**3 / 6.0 * m3 + dt**4 / 24.0 * m4
-    r = dt * (eye + dt / 2.0 * m + dt**2 / 6.0 * m2 + dt**3 / 24.0 * m3) @ q
+    m1 = a * m
+    m2 = m1 @ m1
+    m3 = m2 @ m1
+    m4 = m3 @ m1
+    p = eye + h * m1 + h**2 / 2.0 * m2 + h**3 / 6.0 * m3 + h**4 / 24.0 * m4
+    r = dt * (eye + h / 2.0 * m1 + h**2 / 6.0 * m2 + h**3 / 24.0 * m3) @ q
     return p, r
 
 

@@ -1,18 +1,18 @@
 """Characteristic cubic, mode decomposition and stability of the generator.
 
 The homogeneous flow on (f11, f12, f21) is governed by a 3x3 matrix whose
-characteristic polynomial has real coefficients.  For c > 0 every system
-is solved in its canonical form (H', c', x, t): the generator and its cubic
-in s = rate / c'^2 are closed forms in (H' / c'^2, x, t).  Whether roots
-coincide (the measure-zero branches that turn exponentials into
-exponentials times polynomials) is decided for every shape from the
-cubic's coefficients, in its depressed form, against a bound on their
-rounding; that test is well-conditioned even though the roots themselves
-are not.  Where the dissipator vanishes (c = 0, or a scalar l) the roots are
-exactly 0 and +/- i (E1 - E2).  The labels are read from the canonical
-parameters (``Canonical.zero_mode``), not from computed rates; as
-p1 p2 - p0 > 0 for every non-scalar l (Routh-Hurwitz), only a vanishing
-dissipator leaves an undamped oscillation.
+characteristic polynomial has real coefficients.  Every system is solved
+in its canonical form (H', c', x, t): the generator and its cubic in
+s = rate / unit (``Canonical.unit``) are closed forms in (H' / unit, x,
+t).  Whether roots coincide (the measure-zero branches that turn
+exponentials into exponentials times polynomials) is decided for every
+shape from the cubic's coefficients, in its depressed form, against a
+bound on their rounding; that test is well-conditioned even though the
+roots themselves are not.  Where the dissipator vanishes (c = 0, or a
+scalar l) the rates are exactly 0 and +/- i (E1 - E2).  The labels are
+read from the canonical parameters (``Canonical.zero_mode``), not from
+computed rates; as p1 p2 - p0 > 0 for every non-scalar l (Routh-Hurwitz),
+only a vanishing dissipator leaves an undamped oscillation.
 
 The generator is an arrowhead matrix, rows [m10, m11, 0] and [conj m10, 0,
 conj m11] below the first, and its modes are closed forms on Python scalars:
@@ -32,9 +32,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ContractError, InternalError
-from .generator import build_generator
-from .model import EPS, Canonical, Entries2, SystemSpec, coords_from_frame, dagger_coords, direction_matrix
-from .numerics import cubic_roots, unit_scaled
+from .model import EPS, Canonical, SystemSpec, coords_from_frame, dagger_coords, direction_matrix
+from .numerics import cubic_roots
 
 # A coinciding-root condition is an exact equality between the coefficients
 # of the depressed cubic and those of a cubic with a multiple root.  It is
@@ -84,26 +83,22 @@ class Mode:
 
 @dataclass(frozen=True, eq=False)
 class ModeDecomposition:
-    """Rates, structure and cubic; ``modes`` is made by ``_build`` on first read."""
+    """Rates, structure and cubic, in s = rate / c^2 (``rate_unit``);
+    ``modes`` is made by ``_build`` on first read."""
 
+    roots: tuple[tuple[complex, int], ...]  # distinct rates and their algebraic multiplicities
     rates: tuple[complex, complex, complex]  # by multiplicity, in the order of the modes' chain vectors
     structure: SpectrumStructure
     cubic: tuple[complex, complex, complex]
-    scaled: bool  # True when the cubic variable is s = rate / c^2
     _build: partial
     modes = cached_property(lambda self: self._build())
 
-    def s_roots(self, c: float) -> list[tuple[complex, int]]:
-        """Root list in the rescaled variable (identity when c == 0)."""
-        scale = c * c if c > 0 else 1.0
-        return [(m.rate / scale, len(m.vectors)) for m in self.modes]
-
 
 def _canonical_cubic(canon: Canonical) -> tuple[float, float, float]:
-    """Monic characteristic cubic of the canonical generator in s = rate / c'^2.
+    """Monic characteristic cubic of the canonical generator in s = rate / unit.
 
     With a = 2 x^2 + t^2 / 2 the coherence damping and (g, h) the gap and
-    (0, 1) entry of H' / c'^2, the constant term is a sum of squares.  The
+    (0, 1) entry of H' / unit, the constant term is a sum of squares.  The
     literals are integers and the halving a division, so that rational
     (x, t, g, h) give the exact cubic.
     """
@@ -117,8 +112,8 @@ def _canonical_cubic(canon: Canonical) -> tuple[float, float, float]:
     return 4 * x2 + 2 * t2, p1, p0
 
 
-def _scaled_rows(canon: Canonical) -> list[list[complex]]:
-    """Rows of the canonical generator on (f11, f12, f21) over c'^2, in s."""
+def scaled_rows(canon: Canonical) -> list[list[complex]]:
+    """Rows of the canonical generator on (f11, f12, f21) over its unit, in s."""
     x, t = canon.x, canon.t
     g, h = canon.scaled
     xt = x * t
@@ -135,10 +130,8 @@ def _scaled_rows(canon: Canonical) -> list[list[complex]]:
 def char_cubic(spec: SystemSpec) -> tuple[complex, complex, complex]:
     """Monic characteristic cubic of the homogeneous generator.
 
-    Coefficients are in the rescaled variable s = rate / c^2 when c > 0 and
-    in the bare rate when c = 0.  A closed system (c = 0) has the exact
-    cubic s (s^2 + (E1 - E2)^2) whatever its shape; otherwise the closed
-    form of the canonical system, rescaled from c' to c.
+    Coefficients are in s = rate / c^2, the bare rate for c = 0: the
+    canonical closed form rescaled by ``Canonical.k``.
     """
     return spectrum(spec).cubic
 
@@ -334,18 +327,6 @@ def _real_root_chains(b, mult: int) -> list[list[list[complex]]]:
     return [chain]
 
 
-def generator_rows(spec: SystemSpec) -> tuple[list[list[complex]], Entries2 | None, float]:
-    """(rows of M / w on (f11, f12, f21), their frame U, w): the canonical
-    generator over w = c'^2 for c > 0; a closed system's in the caller's
-    frame (U = None) over the power of two w that brings its largest entry
-    to [1, 2), so that no product of entries under- or overflows."""
-    if spec.c > 0:
-        canon = spec.canonical
-        return _scaled_rows(canon), canon.basis, canon.c * canon.c
-    unit, rows = unit_scaled(build_generator(spec).matrix)
-    return rows.tolist(), None, unit
-
-
 def _minus_rate(m: list[list[complex]], rate: complex) -> list[list[complex]]:
     """Rows of M - rate I from the rows of M."""
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
@@ -360,23 +341,23 @@ def rate_unit(c: float) -> float:
     return c * c or 1.0
 
 
-def _modes(spec: SystemSpec, canon: Canonical | None, scale: float, s_roots) -> tuple[Mode, ...]:
-    """Jordan chains of ``spectrum``'s roots on Python scalars, from the rows
-    of M / w of ``generator_rows``; the j-th link is scaled back by w^-j."""
-    rows, frame, unit = generator_rows(spec)
-    ratio = scale / unit  # from s to the units of rows
+def _modes(canon: Canonical, s_roots) -> tuple[Mode, ...]:
+    """Jordan chains of ``spectrum``'s roots in s = rate / unit on Python
+    scalars, from the rows of M / unit of ``scaled_rows``; the j-th link is
+    scaled back by unit^-j."""
+    rows, frame, unit = scaled_rows(canon), canon.basis, canon.unit
     # Chain vectors map as the traceless matrices they stand for, so they
     # stay Jordan chains of the caller's generator.
     back = tuple if frame is None else (lambda v: coords_from_frame(v, frame))
     modes: list[Mode] = []
     for s, mult in s_roots:
-        rate = s * scale
+        rate = s * unit
         if mult == 3 and s == 0:
             # M = 0 (a damped triple root is -(4 x^2 + 2 t^2) / 3): every direction is a mode.
             modes += [Mode(rate, (back(v),)) for v in _HERMITIAN_BASIS]
         elif s.imag == 0.0:
             rate = complex(rate.real)
-            b = _minus_rate(rows, s.real * ratio)
+            b = _minus_rate(rows, s.real)
             rank_one = mult > 1 and _rank_one(canon)
             for chain in _semisimple_chains(b, mult) if rank_one else _real_root_chains(b, mult):
                 for j in range(1, len(chain)):
@@ -385,7 +366,7 @@ def _modes(spec: SystemSpec, canon: Canonical | None, scale: float, s_roots) -> 
         elif s.imag < 0.0:
             # A real cubic's complex roots come in exact conjugate pairs,
             # sorted lower member first; the upper one leads here.
-            _, _, n, n2 = _largest_cross(_minus_rate(rows, s.conjugate() * ratio))
+            _, _, n, n2 = _largest_cross(_minus_rate(rows, s.conjugate()))
             v = [z / math.sqrt(n2) for z in n]
             modes += [Mode(rate.conjugate(), (back(v),)), Mode(rate, (back(dagger_coords(v)),))]
     if sum(len(m.vectors) for m in modes) != 3:
@@ -394,36 +375,29 @@ def _modes(spec: SystemSpec, canon: Canonical | None, scale: float, s_roots) -> 
 
 
 def spectrum(spec: SystemSpec) -> ModeDecomposition:
-    """Rates, structure and cubic of the homogeneous generator, with modes
+    """Roots, structure and cubic of the homogeneous generator, with modes
     built by ``_modes`` on first read.  Raises ``ContractError`` when c^2 is
     not a normal float (``rate_unit``)."""
-    c = spec.c
-    rate_unit(c)
-    if c > 0:
-        canon = spec.canonical
-        scale = canon.c * canon.c
-        p2, p1, p0 = _canonical_cubic(canon)
-        # The rates are frame-invariant, but s' = rate / c'^2 = s / k.
-        k = (canon.c / c) ** 2
-        cubic = (complex(p2 * k), complex(p1 * k * k), complex(p0 * k * k * k))
-    else:
-        # A closed system's exact cubic keeps the real parts of its rates 0 and
-        # +/- i (E1 - E2) exactly zero; rounding of order eps |H| would read as growth.
-        canon, scale, cubic = None, 1.0, (0j, complex(spec.hamiltonian.splitting**2), 0j)
-    if canon is not None and (canon.x or canon.t):
+    rate_unit(spec.c)
+    canon = spec.canonical
+    unit, k = canon.unit, canon.k
+    p2, p1, p0 = _canonical_cubic(canon)
+    # The rates are frame-invariant; s = k s' in the reported unit.
+    cubic = (complex(p2 * k), complex(p1 * k * k), complex(p0 * k * k * k))
+    if canon.x or canon.t:
         s_roots = _canonical_roots(canon, p2, p1, p0)
         freq = None
     else:
         # No dissipation (c = 0 or a scalar l): the rates are exactly 0 and
         # +/- i (E1 - E2), which is 0 where H is degenerate.
-        freq = spec.hamiltonian.splitting / scale
+        freq = spec.hamiltonian.splitting / unit
         s_roots = [(complex(0.0, -freq), 1), (0j, 1), (complex(0.0, freq), 1)] if freq else [(0j, 3)]
     # In the order of _modes's chain vectors, which lead a complex pair with its upper member.
-    rates: list[complex] = []
+    roots: list[tuple[complex, int]] = []
     for s, mult in s_roots:
-        rate = s * scale
+        rate = s * unit
         if s.imag <= 0.0:
-            rates += [complex(rate.real)] * mult if s.imag == 0.0 else [rate.conjugate(), rate]
+            roots += [(complex(rate.real), mult)] if s.imag == 0.0 else [(rate.conjugate(), 1), (rate, 1)]
 
     # Structure reflects algebraic multiplicity: a diagonalizable double root
     # is still DoubleRoot even though it carries two simple modes.
@@ -440,8 +414,8 @@ def spectrum(spec: SystemSpec) -> ModeDecomposition:
         structure = SpectrumStructure.COMPLEX_PAIR_PLUS_REAL
     else:
         structure = SpectrumStructure.DISTINCT
-    modes = partial(_modes, spec, canon, scale, s_roots)
-    return ModeDecomposition(tuple(rates), structure, cubic, c > 0, modes)
+    rates = tuple(rate for rate, mult in roots for _ in range(mult))
+    return ModeDecomposition(tuple(roots), rates, structure, cubic, partial(_modes, canon, s_roots))
 
 
 def assert_stability(md: ModeDecomposition, spec: SystemSpec) -> StabilityVerdict:

@@ -53,10 +53,10 @@ UnitonVerdict = AllStates | StationaryPointerOnly | NoUnitons
 
 def classify_unitons(spec: SystemSpec) -> UnitonVerdict:
     """Full case analysis of the uniton conditions for one system."""
-    # With c = 0 or a scalar l the dissipator vanishes identically.
-    if spec.c == 0.0 or not (spec.canonical.x or spec.canonical.t):
-        return AllStates()
     canon = spec.canonical
+    # With c = 0 or a scalar l the dissipator vanishes identically.
+    if not (canon.x or canon.t):
+        return AllStates()
     basis = canon.basis
 
     def back(m) -> np.ndarray:

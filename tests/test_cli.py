@@ -31,6 +31,7 @@ from fgkls.model import (
     det2,
     min_eig2,
 )
+from fgkls.pointer import compute_pointer
 from fgkls.sampling import random_density, random_spec
 
 
@@ -58,7 +59,8 @@ SUBNORMAL_C_SQUARED = {
 }
 
 # c^2 is normal, but the cubic in s = rate / c^2 scales by (c' / c)^(2k)
-# with c' / c about 1e150: its p1 and p0 leave the float range.
+# with c' / c about 1e150: its p1 and p0 leave the float range.  The rates
+# are about 1e298.
 HUGE_CUBIC = {
     "hamiltonian": [[1.0, 0.0], [0.0, -1.0]],
     "lindblad": {"form": "general", "c": 0.2, "l": [[1e150, 1e150], [0.0, 2e150]]},
@@ -161,6 +163,24 @@ class TestSpectrumCommand:
         assert payload["stability"] == "AllDamped"
         svals = sorted(r["s"][0] for r in payload["roots"] for _ in range(r["multiplicity"]))
         assert svals == pytest.approx([-1.0, -0.5, -0.5])
+
+    @pytest.mark.parametrize(
+        "hamiltonian, lindblad, roots",
+        [
+            # Pure dephasing over degenerate levels: a diagonalizable double root.
+            ([[0.5, 0.0], [0.0, 0.5]], {"lambda1": 1.0, "lambda2": 0.3}, [(-0.245, 2), (0.0, 1)]),
+            # A scalar l over H = 0: M = 0.
+            ([[0.0, 0.0], [0.0, 0.0]], {"lambda1": 1.0, "lambda2": 1.0}, [(0.0, 3)]),
+        ],
+    )
+    def test_roots_carry_their_algebraic_multiplicity(self, hamiltonian, lindblad, roots, tmp_path, capsys):
+        lindblad = {"form": "diagonal", "c": 1.0, **lindblad}
+        doc = {"command": "spectrum", "system": {"hamiltonian": hamiltonian, "lindblad": lindblad}}
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        got = [(r["s"][0], r["multiplicity"]) for r in payload["roots"]]
+        assert got == [(pytest.approx(s, abs=1e-15), mult) for s, mult in roots]
+        assert all(r["s"][1] == 0.0 and r["rate"] == r["s"] for r in payload["roots"])
 
     def test_large_scaled_gap_is_damped(self, tmp_path, capsys):
         # |H| / c^2 = 1e19: the real parts must survive the roots' scale.
@@ -569,15 +589,42 @@ class TestErrors:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["evolve", "positivity", "oracle-check"])
-    def test_overflowing_newton_vectors_are_refused(self, command, tmp_path, capsys):
-        # (M - r1) d0 overflows with rates of 1e298; the trajectory would be
-        # NaN from t = 0 on.
+    def test_rates_of_1e298_are_solved(self, command, tmp_path, capsys):
+        # The Newton vectors (M - r1) d0 and (M - r2) (M - r1) d0 of rates of
+        # 1e298 are carried over the power of two of c'^2 and its square, and
+        # the RK4 oracle's powers of M over powers of dt: nothing overflows.
+        # The state decays to the pointer at once: exp(-1e298 t) is 0.
         doc = degenerate_jordan_job(command=command, initial_state=[[0.5, 0.0], [0.0, 0.5]])
         doc["system"] = HUGE_CUBIC
         doc["time_grid"] = {"t_end": 1.0, "points": 3}
-        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_CONTRACT
+        assert main(["--job", write_job(tmp_path, doc)]) == EXIT_OK
         captured = capsys.readouterr()
-        assert "Newton vectors" in captured.err and captured.out == ""
+        assert captured.err == ""
+        if command == "evolve":
+            rows = [list(map(float, row)) for row in list(csv.reader(io.StringIO(captured.out)))[1:]]
+            ptr = compute_pointer(parse_system(HUGE_CUBIC)).rho
+            assert rows[0][1:9] == [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0]
+            for row in rows[1:]:
+                assert row[1] == ptr[0, 0].real and row[3:5] == [ptr[0, 1].real, ptr[0, 1].imag]
+                assert row[7] == 1.0 - ptr[0, 0].real
+        elif command == "positivity":
+            # rho0 and the pointer are states, and so is every row in between.
+            payload = json.loads(captured.out)
+            assert payload["valid"] is True and payload["t_min"] == 0.0
+        else:
+            assert json.loads(captured.out)["max_deviation"] <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, code", [("evolve", EXIT_OK), ("pointer", EXIT_OK), ("spectrum", EXIT_CONTRACT)])
+    def test_a_cubic_rescale_beyond_the_float_range_is_only_reported(self, command, code, tmp_path, capsys):
+        # c' / c is about 1e160, so (c' / c)^2, which only the reported cubic
+        # reads, leaves the float range; c'^2 is about 1e300.
+        doc = degenerate_jordan_job(command=command, initial_state=[[0.5, 0.0], [0.0, 0.5]])
+        doc["system"] = {**HUGE_CUBIC, "lindblad": {"form": "general", "c": 1e-10, "l": [[1e160, 1e160], [0.0, 2e160]]}}
+        doc["time_grid"] = {"t_end": 1.0, "points": 3}
+        assert main(["--job", write_job(tmp_path, doc)]) == code
+        err = capsys.readouterr().err
+        assert err == "" if code == EXIT_OK else "the cubic in s = rate / c^2 leaves the float range" in err
 
     def test_oracle_check_refuses_a_nan_deviation(self, monkeypatch, tmp_path, capsys):
         # max(0.0, nan) is 0.0: a NaN oracle state must not read as agreement.
@@ -590,9 +637,7 @@ class TestErrors:
         captured = capsys.readouterr()
         assert "deviation from the RK4 oracle is nan" in captured.err and captured.out == ""
 
-    # oracle-check's RK4 propagator overflows on rates of 1e298 and warns;
-    # what this test checks is the output.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", sorted(JSON_JOBS))
     def test_no_command_prints_a_non_finite_number(self, command, tmp_path, capsys):
         def refuse(name):

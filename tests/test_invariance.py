@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgkls import model, spectral
+from fgkls import generator, model, spectral
 from fgkls.generator import build_generator
 from fgkls.evolution import solve_ivp, trajectory
 from fgkls.model import DiagonalL, GeneralL, Hamiltonian, JordanL, SystemSpec
@@ -288,6 +288,54 @@ def test_scaling_a_closed_system_only_rescales_time(seed, log_alpha):
     assert max_rate_mismatch(got, want) <= 4 * np.finfo(float).eps * max(map(abs, want))
 
 
+def power_of_two_spec(rng, kind):
+    """A closed, diagonal, Jordan or rotated general system of order one."""
+    if kind == "general":
+        spec = random_spec(rng, str(rng.choice(["diagonal", "jordan"])), c_range=(0.3, 2.0), scale=1.2)
+        return rotated_general(spec, haar_unitary(rng))
+    if kind == "closed":
+        return random_spec(rng, "general", c_range=(0.0, 0.0))
+    return random_spec(rng, kind, c_range=(0.3, 2.0), scale=1.2)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["closed", "diagonal", "jordan", "general"]),
+    k=st.integers(-450, 450).map(lambda j: 2 * j),
+)
+@settings(max_examples=120, deadline=None)
+def test_power_of_two_scaling_gives_the_trajectory_bit_for_bit(seed, kind, k):
+    """(2^k H, 2^(k/2) c) at t / 2^k is (H, c) at t, bit for bit, for even
+    k up to 900 in size: the solution is carried in a power-of-two unit,
+    so every rescaling is exact and none under- or overflows."""
+    rng = np.random.default_rng(seed)
+    spec = power_of_two_spec(rng, kind)
+    scaled = SystemSpec(
+        Hamiltonian(spec.hamiltonian.matrix * 2.0**k),
+        dataclasses.replace(spec.lindblad, c=math.ldexp(spec.c, k // 2)),
+    )
+    rho0 = random_density(rng)
+    ts = np.linspace(0.0, 6.0, 13)
+    want = trajectory(solve_ivp(spec, rho0), ts)
+    got = trajectory(solve_ivp(scaled, rho0), np.ldexp(ts, -k))
+    assert np.all(np.isfinite(want))
+    assert got.tobytes() == want.tobytes()
+    assert [math.ldexp(r.real, -k) + 1j * math.ldexp(r.imag, -k) for r in rates(scaled)] == list(rates(spec))
+
+
+@pytest.mark.filterwarnings("error")
+@given(seed=st.integers(0, 2**32 - 1), log_size=st.floats(-300.0, 300.0))
+@settings(max_examples=80, deadline=None)
+def test_closed_systems_are_solved_at_any_scale(seed, log_size):
+    """A closed system with |H| from 1e-300 to 1e300 is solved up to
+    t = 10 / |H| without an error or a warning, in finite states."""
+    rng = np.random.default_rng(seed)
+    size = 10.0**log_size
+    spec = SystemSpec(Hamiltonian(size * random_hamiltonian(rng, 1.0).matrix), DiagonalL(1.0, 0.3, 0.0))
+    rho = trajectory(solve_ivp(spec, random_density(rng)), np.linspace(0.0, 10.0 / size, 21))
+    assert np.all(np.isfinite(rho))
+
+
 @pytest.mark.parametrize(
     "spec, variant",
     [
@@ -310,8 +358,8 @@ def test_rotated_families_map_to_stationary_families(rng, spec, variant):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts canonicalize calls and fails any generator built in the
-    caller's frame for an open system."""
+    """Counts canonicalize calls and fails any numpy generator built, for
+    an open or a closed system."""
     calls = []
     real = model.canonicalize
 
@@ -319,13 +367,13 @@ def counted(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    def guarded(spec):
-        assert spec.c == 0.0
-        return build(spec)
+    def refuse(*args):
+        raise AssertionError("a generator was built in the caller's frame")
 
-    build = spectral.build_generator
     monkeypatch.setattr(model, "canonicalize", counting)
-    monkeypatch.setattr(spectral, "build_generator", guarded)
+    # build_generator reads affine_rows from its module when called, so this
+    # fails it under whatever name it was imported.
+    monkeypatch.setattr(generator, "affine_rows", refuse)
     return calls
 
 
@@ -355,6 +403,12 @@ def test_canonicalize_runs_once_per_general_spec(counted, rng):
     run_pipeline(general, rho0)
     assert len(counted) == 1
     assert general.canonical.x > 0.0 and general.canonical.t > 0.0
+    # So does a closed system, whose l is not read.
+    closed = SystemSpec(h, GeneralL([[1.0, 1.0], [0.0, 2.0]], 0.0))
+    run_pipeline(closed, rho0)
+    run_pipeline(closed, rho0)
+    assert len(counted) == 2
+    assert closed.canonical.x == closed.canonical.t == 0.0 and closed.canonical.basis is None
 
 
 def non_normal_spec(rng):

@@ -39,6 +39,15 @@ class TestHamiltonian:
         with pytest.raises(InputError):
             Hamiltonian([[float("inf"), 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("size", [1e-20, 1.0, 1e20])
+    def test_hermiticity_is_checked_at_the_matrix_scale(self, size):
+        # A bound of tol * max(1, ||m||) would accept size * [[0, 1], [0, 0]]
+        # below size 1 and symmetrize it to size * [[0, 1/2], [1/2, 0]].
+        with pytest.raises(InputError):
+            Hamiltonian([[0.0, size], [0.0, 0.0]])
+        h = Hamiltonian([[0.0, size], [size * (1.0 + 1e-15), 0.0]])
+        assert h.entries[0][1] == h.entries[1][0]
+
     def test_gap(self):
         assert Hamiltonian.diagonal(1.5, 0.5).gap == pytest.approx(1.0)
 
@@ -233,6 +242,15 @@ class TestValidateDensity:
         assert rep.hermitian
         assert rep.trace_dev == 0.0
         assert rep.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
+
+    def test_hermiticity_is_checked_relative_to_the_matrix(self):
+        # ||I / 2|| = 0.707: |rho01 - conj rho10| = 0.8 tol is within tol but
+        # beyond tol ||rho||.
+        rho = np.array([[0.5, 0.4e-9], [-0.4e-9, 0.5]])
+        assert not validate_density(rho).hermitian
+        with pytest.raises(InputError, match="not Hermitian"):
+            as_density(rho)
+        assert not validate_density(1e-12 * rho).hermitian
 
     def test_negative_determinant_detected(self):
         rep = validate_density([[0.6, 0.5], [0.5, 0.4]])

@@ -26,7 +26,7 @@ from fgkls.spectral import (
     _canonical_roots,
     _chain_link,
     _largest_cross,
-    _scaled_rows,
+    scaled_rows,
     spectrum,
 )
 from frames import basis_matrix, from_frame
@@ -136,7 +136,7 @@ def _ref_modes_for_root(m, rate, mult, mscale):
 def reference_spectrum(spec):
     """[(rate, [vectors])] per mode, and the structure's root list."""
     canon = spec.canonical
-    m = canon.c**2 * np.array(_scaled_rows(canon))
+    m = canon.c**2 * np.array(scaled_rows(canon))
     mscale = float(np.linalg.norm(m))
     scale = canon.c**2
     s_roots = _canonical_roots(canon, *_canonical_cubic(canon))
@@ -285,7 +285,7 @@ def test_chain_links_depend_only_on_the_system():
             # The canonical system in its own frame, over c'^2.
             spec = canonical_system(op.spec)
             canon = spec.canonical
-            m = np.array(_scaled_rows(canon))
+            m = np.array(scaled_rows(canon))
             for mode in spectrum(spec).modes:
                 if len(mode.vectors) == 1:
                     continue

@@ -25,9 +25,10 @@ from fgkls.spectral import (
     _largest_cross,
     _rank_one,
     _semisimple_chains,
-    _scaled_rows,
     assert_stability,
     char_cubic,
+    rate_unit,
+    scaled_rows,
     spectrum,
 )
 from test_acceptance import (
@@ -54,10 +55,7 @@ def vieta_residuals(svals, p2, p1, p0):
 
 def spectrum_svals(spec):
     md = spectrum(spec)
-    out = []
-    for s, mult in md.s_roots(spec.c):
-        out.extend([s] * mult)
-    return md, out
+    return md, [r / rate_unit(spec.c) for r in md.rates]
 
 
 class TestCharCubic:
@@ -109,7 +107,7 @@ def coinciding_roots(spec):
     """spectrum's structure and its roots in rate / c^2, each repeated by
     its algebraic multiplicity."""
     md = spectrum(spec)
-    return md.structure, sorted(s.real for s, mult in md.s_roots(spec.c) for _ in range(mult))
+    return md.structure, sorted(r.real / rate_unit(spec.c) for r in md.rates)
 
 
 class TestCoincidentBranches:
@@ -325,7 +323,7 @@ class TestCrossProductEigenvectors:
     @staticmethod
     def check_simple_roots(spec):
         canon = spec.canonical
-        m = np.array(_scaled_rows(canon))
+        m = np.array(scaled_rows(canon))
         for s in cubic_roots(*_canonical_cubic(canon)):
             b = m - s * np.eye(3)
             _, _, n, n2 = _largest_cross(b.tolist())
@@ -359,7 +357,7 @@ class TestCrossProductEigenvectors:
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         spec = SystemSpec(DEGENERATE_H, DiagonalL(1.0, 0.3, 1.0))
-        m = _scaled_rows(spec.canonical)
+        m = scaled_rows(spec.canonical)
         b = _minus_rate(m, -2.0)
         assert _rank_one(spec.canonical)
         chains = _semisimple_chains(b, 2)
@@ -539,8 +537,7 @@ def cubic_miss(spec):
     """Largest |e_k(rates) - cubic_k| / (eps R^k), R the largest |rate|, of
     spectrum's rates against char_cubic, in its variable."""
     md = spectrum(spec)
-    scale = spec.c**2 if md.scaled else 1.0
-    r1, r2, r3 = [r / scale for r in md.rates]
+    r1, r2, r3 = [r / rate_unit(spec.c) for r in md.rates]
     radius = max(abs(r1), abs(r2), abs(r3))
     rebuilt = (-(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -(r1 * r2 * r3))
     return max(abs(e - p) / (EPS * radius**k) for k, (e, p) in enumerate(zip(rebuilt, md.cubic), 1))
